@@ -31,7 +31,11 @@ from .errors import (
 from .fields import Field, RawScalar
 from .linalg import Matrix, Subspace, solve_raw
 
+# Magnitude bound for the int64 numpy engines.
 _INT64_LIMIT = 1 << 62
+# Integers below 2^53 are exact in float64, so a float64 product of
+# integer matrices is exact while every dot product stays below this.
+_FLOAT64_EXACT_LIMIT = 1 << 53
 
 
 @dataclass(frozen=True)
@@ -469,6 +473,22 @@ def _check_associative(table: AlgebraTable) -> bool:
     return True
 
 
+def _jordan_dtype(c: np.ndarray, p: int | None, n: int):
+    """dtype for the Jordan check's products.
+
+    float64 when every dot product of two residue vectors of length n
+    stays below 2^53, where float64 sums of integers are exact;
+    otherwise int64 when the unreduced six-term sum fits, else object.
+    """
+    if p is not None and n * (p - 1) ** 2 < _FLOAT64_EXACT_LIMIT:
+        return np.float64
+    if c.dtype == object:
+        return object
+    big = p - 1 if p is not None else (int(np.abs(c).max()) if c.size else 0)
+    # two chained contractions and a six-term sum over length-n axes
+    return np.int64 if 6 * n * n * big ** 3 < _INT64_LIMIT else object
+
+
 def _check_jordan(table: AlgebraTable) -> bool:
     """Fully multilinearized Jordan identity on all basis triples.
 
@@ -476,35 +496,48 @@ def _check_jordan(table: AlgebraTable) -> bool:
     (x^2 y) x - x^2 (y x) collapses to the operator statement
     [L_{ab}, L_c] + [L_{bc}, L_a] + [L_{ca}, L_b] = 0 on basis triples
     (a, b, c), up to the factor -2, which is invertible in every
-    supported field.  That operator sum is what gets evaluated here.
+    supported field.  That operator sum is what gets evaluated here,
+    from four matrix products per c.  Commutativity makes it symmetric
+    in (a, b, c), so only triples with a, b <= c are formed.  Over GF(p)
+    the products have entries in [0, n(p-1)^2], so a commutator (the
+    difference of two of them) stays inside the bound of `_jordan_dtype`;
+    each commutator is reduced mod p before the three are summed.
     """
     if not check_identity(table, "commutative"):
         return False
     c, p = _engine_params(table)
     n = table.dim
-    if c.dtype != object:
-        big = int(np.abs(c).max()) if c.size else 0
-        if p is not None:
-            big = p - 1
-        # two chained contractions and a six-term sum over length-n axes
-        if 6 * n * n * big ** 3 >= _INT64_LIMIT:
-            c = c.astype(object)
-    t = c.transpose(0, 2, 1)  # t[i] is the left-multiplication matrix of basis i
-    u = np.einsum("ijm,mab->ijab", c, t)
-    if p is not None:
-        u = u % p
+    c = c.astype(_jordan_dtype(c, p, n))
+
+    def reduced(x):
+        # float64 remainder is slow; residues come back as int64
+        if p is None:
+            return x
+        if x.dtype == np.float64:
+            x = x.astype(np.int64)
+        return x % p
+
+    t = c.transpose(0, 2, 1)  # t[i] is the left-multiplication matrix L_i
+    # u[i, j] = L_{b_i b_j}
+    u = reduced(c.reshape(n * n, n) @ t.reshape(n, n * n)).astype(c.dtype, copy=False)
+    u = u.reshape(n, n, n, n)
     for k in range(n):
+        m = k + 1
         tk = t[k]
-        v = u[:, k]
-        term = np.einsum("ijab,bc->ijac", u, tk)
-        term = term - np.einsum("ab,ijbc->ijac", tk, u)
-        term = term + np.einsum("jab,ibc->ijac", v, t)
-        term = term - np.einsum("iab,jbc->ijac", t, v)
-        term = term + np.einsum("iab,jbc->ijac", v, t)
-        term = term - np.einsum("jab,ibc->ijac", t, v)
-        if p is not None:
-            term = term % p
-        if np.any(term):
+        ts = t[:m]
+        us = u[:m, :m]
+        v = u[:m, k]  # v[j] = L_{b_j b_k}
+        # L_ij L_k, L_k L_ij, L_jk L_i and L_i L_jk for i, j <= k, each in the
+        # axis order its product leaves; the transposes give (i, j, a, c)
+        ij_k = (us.reshape(m * m * n, n) @ tk).reshape(m, m, n, n)
+        k_ij = (tk @ us.transpose(2, 0, 1, 3).reshape(n, m * m * n)).reshape(n, m, m, n)
+        jk_i = (v.reshape(m * n, n) @ ts.transpose(1, 0, 2).reshape(n, m * n)).reshape(m, n, m, n)
+        i_jk = (ts.reshape(m * n, n) @ v.transpose(1, 0, 2).reshape(n, m * n)).reshape(m, n, m, n)
+        # [L_{ij}, L_k]
+        term = reduced(ij_k - k_ij.transpose(1, 2, 0, 3))
+        # w[i, j] = [L_{jk}, L_i]; its (i, j)-swap is [L_{ik}, L_j]
+        w = reduced(jk_i.transpose(2, 0, 1, 3) - i_jk.transpose(0, 2, 1, 3))
+        if np.any(reduced(term + w + w.transpose(1, 0, 2, 3))):
             return False
     return True
 

@@ -25,6 +25,7 @@ from .algebra import (
     Element,
     LinearMap,
     SplitNullMeta,
+    _INT64_LIMIT,
     check_identity,
     ideal_closure,
     invert_element,
@@ -53,11 +54,11 @@ from .linalg import (
     Matrix,
     Subspace,
     _nullspace_mod_staged,
+    _np_safe_modulus,
     diagonalize_symmetric_form,
     nullspace_int_crt,
+    nullspace_raw,
 )
-
-_INT64_LIMIT = 1 << 62
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +146,10 @@ def derivation_space(table: AlgebraTable) -> DerivationSpace:
         pairs = [(i, j) for i in range(n) for j in range(i, n)]
     else:
         pairs = [(i, j) for i in range(n) for j in range(n)]
-    dtype = c.dtype if c.dtype == object else np.int64
+    # GF(p) residues from 2^31 up overflow the staged int64 elimination;
+    # those systems stay Python ints and go through nullspace_raw's guard
+    staged = f.is_rational or _np_safe_modulus(f.p)
+    dtype = np.int64 if c.dtype != object and staged else object
     system = np.zeros((len(pairs), n, n, n), dtype=dtype)
     diag = np.arange(n)
     for t, (i, j) in enumerate(pairs):
@@ -163,9 +167,11 @@ def derivation_space(table: AlgebraTable) -> DerivationSpace:
     else:
         p = f.p
         arr = rows % p
-        if arr.dtype != np.int64:
-            arr = arr.astype(np.int64)
-        for null_row in _nullspace_mod_staged(arr, p):
+        if staged:
+            basis = _nullspace_mod_staged(arr.astype(np.int64, copy=False), p)
+        else:
+            basis = nullspace_raw(f, arr.tolist(), n * n)
+        for null_row in basis:
             entries = [
                 [int(null_row[r * n + s]) for s in range(n)] for r in range(n)
             ]

@@ -1,6 +1,9 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from jordanalg.algebra import (
@@ -18,14 +21,18 @@ from jordanalg.algebra import (
     is_ideal,
     quotient_algebra,
     split_null_extension,
+    _FLOAT64_EXACT_LIMIT,
+    _engine_params,
+    _jordan_dtype,
 )
+from jordanalg.constructions import albert_type, matrix_algebra, plus_algebra
 from jordanalg.errors import (
     AlgebraMismatch,
     BadParameters,
     NotAnIdeal,
     NotUnital,
 )
-from jordanalg.fields import RATIONALS, prime_field
+from jordanalg.fields import RATIONALS, is_prime, prime_field
 from jordanalg.linalg import Subspace
 
 
@@ -181,6 +188,138 @@ def test_jordan_identity_exhaustive_small_gf3():
                         for c2 in rng:
                             y = t.element([a2, b2, c2])
                             assert associator(x.square(), y, x).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# the Jordan check on each of its number paths, with negative controls
+
+
+def _jordan_path(table):
+    c, p = _engine_params(table)
+    return _jordan_dtype(c, p, table.dim)
+
+
+def _perturbed(table, i, j, k):
+    """The table with c[i][j][k] and c[j][i][k] raised by one: still
+    commutative, so the check gets past its commutativity test."""
+    f = table.field
+    entries = {(a, b, c): v for a, b, c, v in table.sc_items()}
+    for key in {(i, j, k), (j, i, k)}:
+        entries[key] = f.add(entries.get(key, f.zero()), f.one())
+    return AlgebraTable(f, table.dim, entries)
+
+
+def _plus_matrices(field, n):
+    scalars = AlgebraTable(field, 1, {(0, 0, 0): 1}, unit=[1])
+    return plus_algebra(matrix_algebra(scalars, n))
+
+
+def _largest_prime_on_float_path(n):
+    p = math.isqrt((_FLOAT64_EXACT_LIMIT - 1) // n) + 1
+    while not is_prime(p):
+        p -= 1
+    return p
+
+
+def _jordan_reference(table):
+    """The operator identity [L_ab, L_c] + [L_bc, L_a] + [L_ca, L_b] = 0
+    applied to every basis vector d, one product at a time."""
+    f = table.field
+    n = table.dim
+    basis = [[f.one() if i == j else f.zero() for i in range(n)] for j in range(n)]
+
+    def mul(x, y):
+        return table.mul_coords(x, y)
+
+    def sub(x, y):
+        return [f.sub(a, b) for a, b in zip(x, y)]
+
+    def add(x, y):
+        return [f.add(a, b) for a, b in zip(x, y)]
+
+    for a, b, c, d in itertools.product(range(n), repeat=4):
+        x, y, z, w = basis[a], basis[b], basis[c], basis[d]
+        total = [f.zero()] * n
+        for p, q, r in ((x, y, z), (y, z, x), (z, x, y)):
+            pq = mul(p, q)
+            total = add(total, sub(mul(pq, mul(r, w)), mul(r, mul(pq, w))))
+        if any(total):
+            return False
+    return True
+
+
+def _random_commutative_table(rng, field, n, values):
+    entries = {}
+    for i in range(n):
+        for j in range(i, n):
+            for k in range(n):
+                if rng.random() < 0.3:
+                    entries[(i, j, k)] = entries[(j, i, k)] = rng.choice(values)
+    return AlgebraTable(field, n, entries)
+
+
+@pytest.mark.parametrize(
+    "field, values",
+    [
+        (prime_field(3), [1, 2]),
+        (prime_field(7), [1, 3, 6]),
+        (prime_field(2**31 - 1), [1, 2**30, 2**31 - 2]),
+        (RATIONALS, [1, -2, Fraction(1, 3)]),
+    ],
+    ids=["GF3", "GF7", "GF(2^31-1)", "Q"],
+)
+def test_jordan_check_matches_reference(field, values):
+    rng = random.Random(f"jordan-reference-{field}")
+    tables = [
+        small_spin_table(field, [1, 2]),
+        _plus_matrices(field, 2),
+        _perturbed(small_spin_table(field, [1, 1]), 1, 2, 1),
+        _perturbed(_plus_matrices(field, 2), 0, 1, 3),
+    ]
+    tables += [_random_commutative_table(rng, field, rng.choice([2, 3]), values) for _ in range(8)]
+    verdicts = [check_identity(t, "jordan") for t in tables]
+    assert verdicts == [_jordan_reference(t) for t in tables]
+    assert verdicts[:4] == [True, True, False, False]
+
+
+def test_jordan_float_path_bound_is_strict():
+    c = np.zeros((27, 27, 27), dtype=np.int64)
+    top = math.isqrt((_FLOAT64_EXACT_LIMIT - 1) // 27) + 1
+    assert 27 * (top - 1) ** 2 < _FLOAT64_EXACT_LIMIT <= 27 * top ** 2
+    assert _jordan_dtype(c, top, 27) is np.float64
+    assert _jordan_dtype(c, top + 1, 27) is object
+    assert _jordan_dtype(c, None, 27) is np.int64
+
+
+@pytest.mark.parametrize(
+    "field, path",
+    [
+        (prime_field(7), np.float64),
+        (prime_field(_largest_prime_on_float_path(9)), np.float64),
+        (RATIONALS, np.int64),
+        (prime_field(2**31 - 1), object),
+    ],
+    ids=["GF7-float64", "GF-bound-float64", "Q-int64", "GF(2^31-1)-object"],
+)
+def test_jordan_check_paths_on_plus_m3(field, path):
+    t = _plus_matrices(field, 3)
+    assert _jordan_path(t) is path
+    assert check_identity(t, "jordan")
+    bad = _perturbed(t, 1, 3, 0)
+    assert _jordan_path(bad) is path
+    assert check_identity(bad, "commutative")
+    assert not check_identity(bad, "jordan")
+
+
+@pytest.mark.parametrize(
+    "field, path", [(prime_field(7), np.float64), (RATIONALS, np.int64)], ids=["GF7", "Q"]
+)
+def test_jordan_check_rejects_perturbed_albert(field, path):
+    t = albert_type(field, [1, 2, 3], [1, 2, 3])
+    bad = _perturbed(t, 1, 2, 0)
+    assert _jordan_path(bad) is path
+    assert check_identity(bad, "commutative")
+    assert not check_identity(bad, "jordan")
 
 
 def test_associator():

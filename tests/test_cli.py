@@ -120,6 +120,16 @@ def test_derivations_dimension(workdir):
     assert result.stdout.splitlines()[0] == "derivation space dimension 1"
 
 
+@pytest.mark.parametrize("p", [2**31 + 11, 2**33 + 17, 2**62 + 135])
+def test_derivations_for_large_primes(tmp_path, p):
+    path = tmp_path / "spin.alg"
+    built = run_cli("build", "spin", "--field", f"GF:{p}", "--diag", "1,1,1", "-o", str(path))
+    assert built.returncode == 0, built.stderr
+    result = run_cli("derivations", str(path))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "derivation space dimension 3\n"
+
+
 def test_derivations_sample_is_seed_deterministic(workdir):
     a = run_cli("derivations", str(workdir / "spin3.alg"), "--sample", "--seed", "9")
     b = run_cli("derivations", str(workdir / "spin3.alg"), "--sample", "--seed", "9")

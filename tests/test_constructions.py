@@ -1,6 +1,9 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
+
+import jordanalg.constructions as constructions
 
 from jordanalg.algebra import AlgebraTable, LinearMap, check_identity, ideal_closure, is_ideal
 from jordanalg.constructions import (
@@ -29,6 +32,7 @@ from jordanalg.errors import (
     NotUnital,
 )
 from jordanalg.fields import RATIONALS, prime_field
+from jordanalg.formats import write_algebra
 from jordanalg.linalg import Matrix, Subspace, solve
 
 F3 = prime_field(3)
@@ -330,3 +334,134 @@ def test_albert_param_validation():
         albert_type(F5, [-1, -1], [1, 1, 1])
     with pytest.raises(BadParameters):
         albert_type(F5, [-1, -1, -1], [1, 0, 1])
+
+
+# ---------------------------------------------------------------------------
+# negative controls for the sparse involution check
+
+
+def test_involution_check_rejects_order_three_automorphism():
+    # cycling v1 -> v2 -> v3 preserves the form diag(1, 1, 1), so it is an
+    # (anti-)automorphism of the commutative spin factor; only its square
+    # differs from the identity
+    t = diagonal_spin_factor(F5, [1, 1, 1])
+    images = [[1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [0, 1, 0, 0]]
+    cycle = LinearMap.from_images(t, images)
+    x, y = t.element([1, 2, 3, 4]), t.element([0, 4, 1, 2])
+    assert cycle(x * y) == cycle(y) * cycle(x)
+    assert cycle.compose(cycle) != LinearMap.identity(t)
+    assert not involution_check(t, cycle)
+    with pytest.raises(NotAnInvolution):
+        hermitian_subalgebra(t, cycle)
+
+
+def test_involution_check_rejects_a_map_of_another_table():
+    t = diagonal_spin_factor(F5, [1, 1, 1])
+    other = diagonal_spin_factor(F5, [1, 1, 2])
+    assert not involution_check(t, LinearMap.identity(other))
+
+
+def _dense_involution_reference(table, sigma):
+    """involution_check by dense matrix products, one basis pair at a time."""
+    n = table.dim
+    if sigma.matrix @ sigma.matrix != Matrix.identity(table.field, n):
+        return False
+    std = Matrix.identity(table.field, n).rows
+    images = [sigma.matrix.apply(vec) for vec in std]
+    return all(
+        list(sigma.matrix.apply(table.mul_coords(std[i], std[j])))
+        == table.mul_coords(images[j], images[i])
+        for i in range(n)
+        for j in range(n)
+    )
+
+
+@pytest.mark.parametrize("field", [F5, RATIONALS], ids=["GF5", "Q"])
+def test_involution_check_matches_dense_reference(field):
+    quat, conj = cayley_dickson(field, [-1, 2])
+    m2 = full_matrix_table(field, 2)
+    cases = [(quat, conj.matrix), (m2, transpose_map(m2, 2).matrix), (m2, Matrix.identity(field, 4))]
+    maps = []
+    for table, matrix in cases:
+        n = table.dim
+        maps.append((table, matrix))
+        for r, c in ((0, 0), (1, 2), (n - 1, 0)):
+            rows = [list(row) for row in matrix.rows]
+            rows[r][c] = field.add(rows[r][c], field.one())
+            maps.append((table, Matrix(field, rows)))
+        # these maps are signed permutations; negating the entry in column c
+        # and its mirror keeps the square equal to the identity
+        for c in range(n):
+            rows = [list(row) for row in matrix.rows]
+            r = next(r for r in range(n) if rows[r][c])
+            rows[r][c] = field.neg(rows[r][c])
+            if r != c:
+                rows[c][r] = field.neg(rows[c][r])
+            maps.append((table, Matrix(field, rows)))
+    verdicts = [involution_check(t, LinearMap(t, m)) for t, m in maps]
+    assert verdicts == [_dense_involution_reference(t, LinearMap(t, m)) for t, m in maps]
+    assert True in verdicts[1:] and verdicts.count(False) > len(maps) // 2
+
+
+def _flip_gamma_entries(monkeypatch, symmetric: bool):
+    """Make the first 72x72 map built by albert_type (the gamma map) wrong
+    in one entry: sign of the image of u E_12, and with `symmetric` also of
+    its mirror entry, which keeps the square equal to the identity."""
+    real = constructions.LinearMap
+    flipped = []
+
+    def patched(table, matrix):
+        if table.dim == 72 and not flipped:
+            f = matrix.field
+            rows = [list(r) for r in matrix.rows]
+            src = 8  # coefficient basis vector 0 in slot (1, 2)
+            dst = next(r for r in range(72) if rows[r][src])
+            rows[dst][src] = f.neg(rows[dst][src])
+            if symmetric:
+                rows[src][dst] = f.neg(rows[src][dst])
+            matrix = Matrix(f, rows)
+            flipped.append(matrix)
+        return real(table, matrix)
+
+    monkeypatch.setattr(constructions, "LinearMap", patched)
+    return flipped
+
+
+@pytest.mark.parametrize("field", [F7, RATIONALS], ids=["GF7", "Q"])
+def test_albert_rejects_gamma_map_with_flipped_entry(monkeypatch, field):
+    flipped = _flip_gamma_entries(monkeypatch, symmetric=False)
+    with pytest.raises(NotAnInvolution):
+        albert_type(field, [1, 2, 3], [1, 2, 3])
+    assert len(flipped) == 1
+    assert flipped[0] @ flipped[0] != Matrix.identity(field, 72)
+
+
+@pytest.mark.parametrize("field", [F7, RATIONALS], ids=["GF7", "Q"])
+def test_albert_rejects_gamma_map_with_flipped_pair(monkeypatch, field):
+    # the square is still the identity: the product law is what fails
+    flipped = _flip_gamma_entries(monkeypatch, symmetric=True)
+    with pytest.raises(NotAnInvolution):
+        albert_type(field, [1, 2, 3], [1, 2, 3])
+    assert len(flipped) == 1
+    assert flipped[0] @ flipped[0] == Matrix.identity(field, 72)
+
+
+# ---------------------------------------------------------------------------
+# golden tables: the written files of fixed Albert builds
+
+
+@pytest.mark.parametrize(
+    "field, mus, gammas, digest",
+    [
+        (F5, (2, 3, 1), (1, 2, 4),
+         "b247ed4f6d78b52c3ec2ef45ba9038c3d3b2f966daa4732815cac76453d10bfc"),
+        (F7, (3, 5, 6), (1, 3, 2),
+         "f45c775774cde9a2948dcd98df88584b6196641bc7908bbcbd6081b146e1486c"),
+        (RATIONALS, (-1, 2, -3), (1, -1, 2),
+         "789153329a41c831e9fa266e0a57de852311ed8c52cf2a8d4a57a27b988b35bf"),
+    ],
+    ids=["GF5", "GF7", "Q"],
+)
+def test_albert_written_file_is_golden(field, mus, gammas, digest):
+    text = write_algebra(albert_type(field, mus, gammas))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

@@ -131,6 +131,22 @@ def test_derivation_basis_maps_are_derivations_and_kill_unit():
         assert bmap.apply(one).is_zero()
 
 
+# primes on both sides of 2^31, where the staged int64 elimination stops
+# being safe, and far beyond it
+LARGE_PRIMES = (2**31 - 1, 2**31 + 11, 2**33 + 17, 2**62 + 135)
+
+
+@pytest.mark.parametrize("p", LARGE_PRIMES)
+def test_derivation_space_exact_for_large_primes(p):
+    t = diagonal_spin_factor(prime_field(p), [1, 1, 1])
+    space = derivation_space(t)
+    # so(3) of the form diag(1, 1, 1)
+    assert space.dim == 3
+    for m in space.basis:
+        assert is_derivation(t, m)
+        assert not any(m.matrix.apply(t.unit_coords()))
+
+
 def test_derivation_space_is_cached(spin3):
     assert derivation_space(spin3) is derivation_space(spin3)
 
