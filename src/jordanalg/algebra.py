@@ -29,7 +29,7 @@ from .errors import (
     NotUnital,
 )
 from .fields import Field, RawScalar
-from .linalg import Matrix, Subspace, solve_raw
+from .linalg import Matrix, Subspace, _identity_raw, solve_raw
 
 # Magnitude bound for the int64 numpy engines.
 _INT64_LIMIT = 1 << 62
@@ -170,18 +170,12 @@ class AlgebraTable:
             self._cache["unit"] = found
         return self._cache["unit"]
 
-    def is_unital(self) -> bool:
-        return self.unit_coords() is not None
-
     def _acts_as_unit(self, coords) -> bool:
-        for j in range(self.dim):
-            basis = [self.field.zero()] * self.dim
-            basis[j] = self.field.one()
-            if self.mul_coords(coords, basis) != basis:
-                return False
-            if self.mul_coords(basis, coords) != basis:
-                return False
-        return True
+        identity = _identity_raw(self.field, self.dim)
+        return (
+            self.mult_operator(coords) == identity
+            and self.mult_operator(coords, "right") == identity
+        )
 
     # ------------------------------------------------------------------
     # multiplication
@@ -202,6 +196,27 @@ class AlgebraTable:
                         out[k] = f.add(out[k], f.mul(c, v))
         return out
 
+    def mult_operator(self, x: Sequence[RawScalar], side: str = "left") -> list[list]:
+        """Raw rows of L_x (side "left") or R_x (side "right").
+
+        Entry [k][j] is the coefficient of b_k in x * b_j, respectively
+        b_j * x, so column j is the image of b_j.  One pass over the
+        nonzero structure rows, skipping zero coordinates of x.
+        """
+        if side not in ("left", "right"):
+            raise BadParameters(f"unknown operator side {side!r}")
+        f = self.field
+        out = [[f.zero()] * self.dim for _ in range(self.dim)]
+        left = side == "left"
+        for (i, j), pairs in self._rows.items():
+            xi, col = (x[i], j) if left else (x[j], i)
+            if not xi:
+                continue
+            for k, v in pairs:
+                row = out[k]
+                row[col] = f.add(row[col], f.mul(xi, v))
+        return out
+
     # ------------------------------------------------------------------
     # integer image for the numpy engines
 
@@ -218,10 +233,7 @@ class AlgebraTable:
             return cached
         n = self.dim
         if self.field.is_rational:
-            scale = 1
-            for pairs in self._rows.values():
-                for _, v in pairs:
-                    scale = scale * v.denominator // math.gcd(scale, v.denominator)
+            scale = math.lcm(*(v.denominator for pairs in self._rows.values() for _, v in pairs))
             ints = {}
             big = 0
             for (i, j), pairs in self._rows.items():
@@ -569,15 +581,10 @@ def associator(x: Element, y: Element, z: Element) -> Element:
 
 
 def _products_into(table: AlgebraTable, vec, out: list):
-    """Append all basis-element products b_i * v and v * b_i to out."""
-    n = table.dim
-    f = table.field
-    zero = f.zero()
-    for i in range(n):
-        basis = [zero] * n
-        basis[i] = f.one()
-        out.append(table.mul_coords(basis, vec))
-        out.append(table.mul_coords(vec, basis))
+    """Append all basis-element products b_i * v and v * b_i to out: the
+    columns of R_v and of L_v."""
+    for side in ("right", "left"):
+        out.extend(zip(*table.mult_operator(vec, side)))
 
 
 def is_ideal(table: AlgebraTable, space: Subspace) -> bool:
@@ -734,56 +741,44 @@ def split_null_extension(table: AlgebraTable, shift=0) -> tuple[AlgebraTable, Su
 # inverses and the division-algebra scan
 
 
-def _invert_jordan_coords(table: AlgebraTable, coords) -> list | None:
-    """Solve x*y = 1 and x^2*y = x simultaneously, then re-verify."""
-    f = table.field
-    n = table.dim
+def _inversion_kind(table: AlgebraTable) -> str:
+    """Which equations define an inverse: the Jordan pair on commutative
+    tables, L_x y = 1 on associative ones, and matching left and right
+    solutions on any other table."""
+    if check_identity(table, "commutative"):
+        return "jordan"
+    if check_identity(table, "associative"):
+        return "associative"
+    return "generic"
+
+
+def _invert_coords(table: AlgebraTable, coords, kind: str) -> list | None:
+    """Inverse coordinates of x under the equations of `kind`, or None.
+
+    "jordan" solves x*y = 1 and x^2*y = x as one stacked system.
+    "associative" solves L_x y = 1; in a finite-dimensional associative
+    unital algebra a right inverse is two-sided.  "generic" solves
+    L_x y = 1 and R_x y = 1 separately and requires the two canonical
+    solutions to agree.  Every solution is re-verified by products.
+    """
     unit = table.unit_coords()
     if unit is None:
         raise NotUnital("inversion needs a unit")
-    x = list(coords)
-    xsq = table.mul_coords(x, x)
-    zero = f.zero()
-    lx = []
-    lxsq = []
-    for j in range(n):
-        basis = [zero] * n
-        basis[j] = f.one()
-        lx.append(table.mul_coords(x, basis))
-        lxsq.append(table.mul_coords(xsq, basis))
-    rows = [[lx[j][k] for j in range(n)] for k in range(n)]
-    rows += [[lxsq[j][k] for j in range(n)] for k in range(n)]
-    rhs = list(unit) + x
-    sol = solve_raw(f, rows, rhs)
-    if sol is None:
-        return None
-    if table.mul_coords(x, sol) != list(unit):
-        return None
-    if table.mul_coords(xsq, sol) != x:
-        return None
-    return sol
-
-
-def _invert_associative_coords(table: AlgebraTable, coords) -> list | None:
-    """Right inverse via L_x, which is two-sided in a finite-dimensional
-    associative unital algebra; both sides are still re-verified."""
     f = table.field
-    n = table.dim
-    unit = table.unit_coords()
-    if unit is None:
-        raise NotUnital("inversion needs a unit")
-    zero = f.zero()
     x = list(coords)
-    lx = []
-    for j in range(n):
-        basis = [zero] * n
-        basis[j] = f.one()
-        lx.append(table.mul_coords(x, basis))
-    rows = [[lx[j][k] for j in range(n)] for k in range(n)]
-    sol = solve_raw(f, rows, list(unit))
+    one = list(unit)
+    if kind == "jordan":
+        xsq = table.mul_coords(x, x)
+        sol = solve_raw(f, table.mult_operator(x) + table.mult_operator(xsq), one + x)
+        if sol is None or table.mul_coords(x, sol) != one or table.mul_coords(xsq, sol) != x:
+            return None
+        return sol
+    sol = solve_raw(f, table.mult_operator(x), one)
     if sol is None:
         return None
-    if table.mul_coords(x, sol) != list(unit) or table.mul_coords(sol, x) != list(unit):
+    if kind == "generic" and solve_raw(f, table.mult_operator(x, "right"), one) != sol:
+        return None
+    if table.mul_coords(x, sol) != one or table.mul_coords(sol, x) != one:
         return None
     return sol
 
@@ -796,37 +791,8 @@ def invert_element(x: Element) -> Element | None:
     two-sided requirement for a general table.
     """
     table = x.algebra
-    if check_identity(table, "commutative"):
-        sol = _invert_jordan_coords(table, x.coords)
-    elif check_identity(table, "associative"):
-        sol = _invert_associative_coords(table, x.coords)
-    else:
-        sol = _invert_generic_coords(table, x.coords)
+    sol = _invert_coords(table, x.coords, _inversion_kind(table))
     return None if sol is None else Element(table, sol)
-
-
-def _invert_generic_coords(table: AlgebraTable, coords) -> list | None:
-    f = table.field
-    n = table.dim
-    unit = table.unit_coords()
-    if unit is None:
-        raise NotUnital("inversion needs a unit")
-    zero = f.zero()
-    x = list(coords)
-    lx = []
-    rx = []
-    for j in range(n):
-        basis = [zero] * n
-        basis[j] = f.one()
-        lx.append(table.mul_coords(x, basis))
-        rx.append(table.mul_coords(basis, x))
-    left = solve_raw(f, [[lx[j][k] for j in range(n)] for k in range(n)], list(unit))
-    right = solve_raw(f, [[rx[j][k] for j in range(n)] for k in range(n)], list(unit))
-    if left is None or right is None or left != right:
-        return None
-    if table.mul_coords(x, left) != list(unit) or table.mul_coords(left, x) != list(unit):
-        return None
-    return left
 
 
 def is_division_algebra(table: AlgebraTable, cap: int = 10**6) -> str:
@@ -842,17 +808,8 @@ def is_division_algebra(table: AlgebraTable, cap: int = 10**6) -> str:
     p = table.field.p
     if p**table.dim > cap:
         return "unknown"
-    commutative = check_identity(table, "commutative")
-    associative = check_identity(table, "associative")
+    kind = _inversion_kind(table)
     for tup in itertools.product(range(p), repeat=table.dim):
-        if not any(tup):
-            continue
-        if commutative:
-            ok = _invert_jordan_coords(table, list(tup)) is not None
-        elif associative:
-            ok = _invert_associative_coords(table, list(tup)) is not None
-        else:
-            ok = _invert_generic_coords(table, list(tup)) is not None
-        if not ok:
+        if any(tup) and _invert_coords(table, tup, kind) is None:
             return "no"
     return "yes"

@@ -68,10 +68,7 @@ from .linalg import (
 def _int_matrix(field, rows) -> tuple[np.ndarray, int]:
     """Rows as an integer array plus the denominator scale cleared out."""
     if field.is_rational:
-        scale = 1
-        for row in rows:
-            for v in row:
-                scale = scale * v.denominator // math.gcd(scale, v.denominator)
+        scale = math.lcm(*(v.denominator for row in rows for v in row))
         ints = [[int(v * scale) for v in row] for row in rows]
         big = max((abs(x) for r in ints for x in r), default=0)
         dtype = np.int64 if big < _INT64_LIMIT else object
@@ -85,9 +82,11 @@ def _leibniz_defect(table: AlgebraTable, dmap: LinearMap) -> np.ndarray:
     c, _ = table.structure_int_tensor()
     d, _ = _int_matrix(table.field, dmap.matrix.rows)
     n = table.dim
-    max_c = int(max((abs(int(x)) for x in c.reshape(-1)), default=0))
-    max_d = int(max((abs(int(x)) for x in d.reshape(-1)), default=0))
-    if c.dtype == object or d.dtype == object or 3 * n * max_c * max_d >= _INT64_LIMIT:
+    if (
+        c.dtype == object
+        or d.dtype == object
+        or 3 * n * int(np.abs(c).max()) * int(np.abs(d).max()) >= _INT64_LIMIT
+    ):
         c = c.astype(object)
         d = d.astype(object)
     lhs = np.einsum("km,ijm->ijk", d, c)
@@ -193,16 +192,10 @@ def inner_assoc_derivation(table: AlgebraTable, a: Element) -> LinearMap:
     if a.algebra != table:
         raise AlgebraMismatch("element lives in a different algebra")
     f = table.field
-    n = table.dim
-    zero = f.zero()
-    images = []
-    for j in range(n):
-        basis = [zero] * n
-        basis[j] = f.one()
-        left = table.mul_coords(list(a.coords), basis)
-        right = table.mul_coords(basis, list(a.coords))
-        images.append([f.sub(x, y) for x, y in zip(left, right)])
-    dmap = LinearMap.from_images(table, images)
+    left = table.mult_operator(a.coords)
+    right = table.mult_operator(a.coords, "right")
+    rows = [[f.sub(x, y) for x, y in zip(lrow, rrow)] for lrow, rrow in zip(left, right)]
+    dmap = LinearMap(table, Matrix(f, rows))
     assert is_derivation(table, dmap)
     return dmap
 
@@ -646,25 +639,19 @@ def largest_ideal_in_kernel(table: AlgebraTable, dmap: LinearMap) -> Subspace:
         raise NotADerivation("map fails the Leibniz rule")
     f = table.field
     n = table.dim
-    commutative = check_identity(table, "commutative")
+    sides = ("left",) if check_identity(table, "commutative") else ("left", "right")
     space = dmap.kernel()
-    zero = f.zero()
     while space.dim:
         dual = space.annihilator()
         if dual.dim == 0:
             break
+        ops = {side: [table.mult_operator(w, side) for w in space.basis] for side in sides}
         rows = []
         for j in range(n):
-            e = [zero] * n
-            e[j] = f.one()
-            left = [table.mul_coords(list(w), e) for w in space.basis]
-            right = None
-            if not commutative:
-                right = [table.mul_coords(e, list(w)) for w in space.basis]
             for z in dual.basis:
-                rows.append([_dot(f, z, prod) for prod in left])
-                if right is not None:
-                    rows.append([_dot(f, z, prod) for prod in right])
+                for side in sides:
+                    # z applied to w * b_j (left) or b_j * w (right), per w
+                    rows.append([_dot(f, z, [r[j] for r in op]) for op in ops[side]])
         coeff_space = Matrix(f, rows).nullspace()
         refined_vectors = [
             _subspace_vector(space, coeffs) for coeffs in coeff_space.basis

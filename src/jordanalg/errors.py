@@ -49,10 +49,6 @@ class NotUnital(AlgebraError):
     """The operation needs a unit element and the table has none."""
 
 
-class NotCommutative(AlgebraError):
-    """The operation needs a commutative product."""
-
-
 class NotAssociative(AlgebraError):
     """The operation needs an associative product."""
 

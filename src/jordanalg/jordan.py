@@ -9,7 +9,7 @@ the 27-dimensional family.
 
 from __future__ import annotations
 
-from .algebra import AlgebraTable, Element, _invert_jordan_coords
+from .algebra import AlgebraTable, Element, _invert_coords
 from .constructions import AlbertMeta, SpinMeta, cd_norm, cd_trace
 from .errors import (
     BadParameters,
@@ -17,7 +17,6 @@ from .errors import (
     NotAlbertType,
     NotIdempotent,
     NotSpinFactor,
-    NotUnital,
 )
 from .fields import Scalar
 from .linalg import Matrix, Subspace
@@ -29,13 +28,8 @@ def jordan_inverse(x: Element) -> Element | None:
     Both defining equations are solved as one stacked linear system and
     the solution is re-checked against them before it is returned.
     """
-    table = x.algebra
-    if table.unit_coords() is None:
-        raise NotUnital("inversion needs a unit")
-    coords = _invert_jordan_coords(table, x.coords)
-    if coords is None:
-        return None
-    return Element(table, coords)
+    coords = _invert_coords(x.algebra, x.coords, "jordan")
+    return None if coords is None else Element(x.algebra, coords)
 
 
 def power(x: Element, k: int) -> Element:
@@ -56,13 +50,7 @@ def is_idempotent(x: Element) -> bool:
 
 def left_multiplication(x: Element) -> Matrix:
     """The matrix of y -> xy on the algebra's basis."""
-    table = x.algebra
-    cols = []
-    for j in range(table.dim):
-        basis_j = [table.field.zero()] * table.dim
-        basis_j[j] = table.field.one()
-        cols.append(table.mul_coords(x.coords, basis_j))
-    return Matrix(table.field, list(zip(*cols)))
+    return Matrix(x.algebra.field, x.algebra.mult_operator(x.coords))
 
 
 def peirce_single(e: Element) -> tuple[Subspace, Subspace, Subspace]:

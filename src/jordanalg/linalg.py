@@ -293,13 +293,9 @@ def _nullspace_mod_staged(m: np.ndarray, p: int, chunk: int = 3000) -> np.ndarra
 def _integerize_rows(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
     out = []
     for row in rows:
-        den = 1
-        for x in row:
-            den = den * x.denominator // math.gcd(den, x.denominator)
+        den = math.lcm(*(x.denominator for x in row))
         ints = [int(x * den) for x in row]
-        g = 0
-        for v in ints:
-            g = math.gcd(g, v)
+        g = math.gcd(*ints)
         if g > 1:
             ints = [v // g for v in ints]
         out.append(ints)
@@ -418,9 +414,7 @@ def _try_reconstruct(collected, int_rows, sparse, ncols):
         rows.append(row)
     # exact certification: each candidate is a null vector of the matrix
     for row in rows:
-        den = 1
-        for x in row:
-            den = den * x.denominator // math.gcd(den, x.denominator)
+        den = math.lcm(*(x.denominator for x in row))
         w = [int(x * den) for x in row]
         for srow in sparse:
             if sum(c * w[j] for j, c in srow):
@@ -693,9 +687,6 @@ class Subspace:
         self._check(other)
         return all(self.contains_vector(row) for row in other.basis)
 
-    def basis_matrix(self) -> Matrix:
-        return Matrix(self.field, self.basis)
-
 
 def rref(m: Matrix) -> tuple[Matrix, int, tuple[int, ...]]:
     return m.rref()
@@ -733,13 +724,9 @@ def _normalize_pivot(field: Field, v: list) -> list:
     """
     lead = next(x for x in v if x)
     if field.is_rational:
-        den = 1
-        for x in v:
-            den = den * x.denominator // math.gcd(den, x.denominator)
+        den = math.lcm(*(x.denominator for x in v))
         ints = [int(x * den) for x in v]
-        g = 0
-        for x in ints:
-            g = math.gcd(g, x)
+        g = math.gcd(*ints)
         ints = [x // g for x in ints]
         lead = next(x for x in ints if x)
         if lead < 0:
