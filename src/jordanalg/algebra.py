@@ -640,8 +640,7 @@ def quotient_algebra(table: AlgebraTable, ideal: Subspace) -> tuple[AlgebraTable
         raise NotAnIdeal("quotient requires an ideal")
     f = table.field
     n = table.dim
-    pivots = [next(i for i, x in enumerate(row) if x) for row in ideal.basis]
-    pivot_set = set(pivots)
+    pivot_set = set(ideal.pivots)
     complement = [m for m in range(n) if m not in pivot_set]
     q = len(complement)
 
@@ -652,12 +651,12 @@ def quotient_algebra(table: AlgebraTable, ideal: Subspace) -> tuple[AlgebraTable
     entries = {}
     zero = f.zero()
     for a, ia in enumerate(complement):
+        x = [zero] * n
+        x[ia] = f.one()
+        # column ib of L_x is the product b_ia * b_ib
+        op = table.mult_operator(x)
         for b, ib in enumerate(complement):
-            x = [zero] * n
-            y = [zero] * n
-            x[ia] = f.one()
-            y[ib] = f.one()
-            image = project(table.mul_coords(x, y))
+            image = project([row[ib] for row in op])
             for k, v in enumerate(image):
                 if v:
                     entries[(a, b, k)] = v

@@ -37,6 +37,7 @@ from .errors import (
     AlgebraMismatch,
     BadParameters,
     CapExceeded,
+    CertificationError,
     CriterionNotSatisfied,
     DegenerateSplit,
     FieldMismatch,
@@ -53,11 +54,10 @@ from .jordan import albert_norm, spin_norm
 from .linalg import (
     Matrix,
     Subspace,
+    _mod_dtype,
     _nullspace_mod_staged,
-    _np_safe_modulus,
     diagonalize_symmetric_form,
     nullspace_int_crt,
-    nullspace_raw,
 )
 
 
@@ -145,10 +145,7 @@ def derivation_space(table: AlgebraTable) -> DerivationSpace:
         pairs = [(i, j) for i in range(n) for j in range(i, n)]
     else:
         pairs = [(i, j) for i in range(n) for j in range(n)]
-    # GF(p) residues from 2^31 up overflow the staged int64 elimination;
-    # those systems stay Python ints and go through nullspace_raw's guard
-    staged = f.is_rational or _np_safe_modulus(f.p)
-    dtype = np.int64 if c.dtype != object and staged else object
+    dtype = c.dtype if f.is_rational else _mod_dtype(f.p)
     system = np.zeros((len(pairs), n, n, n), dtype=dtype)
     diag = np.arange(n)
     for t, (i, j) in enumerate(pairs):
@@ -158,28 +155,20 @@ def derivation_space(table: AlgebraTable) -> DerivationSpace:
         blk[:, :, i] -= c[:, j, :].T
         blk[:, :, j] -= c[i, :, :].T
     rows = system.reshape(len(pairs) * n, n * n)
-    maps = []
     if f.is_rational:
-        for null_row in nullspace_int_crt(rows, n * n):
-            entries = [null_row[r * n : (r + 1) * n] for r in range(n)]
-            maps.append(LinearMap(table, Matrix(f, entries)))
+        basis = nullspace_int_crt(rows, n * n)
     else:
-        p = f.p
-        arr = rows % p
-        if staged:
-            basis = _nullspace_mod_staged(arr.astype(np.int64, copy=False), p)
-        else:
-            basis = nullspace_raw(f, arr.tolist(), n * n)
-        for null_row in basis:
-            entries = [
-                [int(null_row[r * n + s]) for s in range(n)] for r in range(n)
-            ]
-            maps.append(LinearMap(table, Matrix(f, entries)))
+        basis = _nullspace_mod_staged(rows, f.p).tolist()
+    maps = [
+        LinearMap(table, Matrix(f, [null_row[r * n : (r + 1) * n] for r in range(n)]))
+        for null_row in basis
+    ]
     unit = table.unit_coords()
     for m in maps:
-        assert is_derivation(table, m), "nullspace row fails the Leibniz rule"
-        if unit is not None:
-            assert not any(m.matrix.apply(unit)), "derivation must kill the unit"
+        if not is_derivation(table, m):
+            raise CertificationError("nullspace row fails the Leibniz rule")
+        if unit is not None and any(m.matrix.apply(unit)):
+            raise CertificationError("derivation must kill the unit")
     space = DerivationSpace(table, tuple(maps))
     table._cache["derivation_space"] = space
     return space
@@ -739,7 +728,7 @@ def div_reduction(
     quotient, projection = quotient_algebra(table, ideal)
     f = table.field
     n = table.dim
-    pivots = {next(i for i, c in enumerate(row) if c) for row in ideal.basis}
+    pivots = set(ideal.pivots)
     complement = [m for m in range(n) if m not in pivots]
     cols = []
     for m in complement:

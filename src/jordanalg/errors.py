@@ -99,6 +99,10 @@ class RecipeFailure(AlgebraError):
     to abort loudly rather than be caught."""
 
 
+class CertificationError(AlgebraError):
+    """A computed result failed its own exact re-check."""
+
+
 class CapExceeded(AlgebraError):
     """An exhaustive search would exceed the configured cap."""
 

@@ -1,12 +1,21 @@
 """Exact dense linear algebra over Q and GF(p).
 
-Everything here is exact: GF(p) work runs on int64 numpy arrays with
-modular reduction (falling back to Python ints when a modulus is large
-enough to risk overflow), and rational work runs on `fractions.Fraction`.
-Large rational nullspaces are computed through a modular multi-prime
-pass with rational reconstruction; the reconstructed basis is verified
-against the original matrix with exact integer arithmetic before it is
-returned, so the fast path cannot silently produce a wrong answer.
+Everything here is exact.  Row reduction has two kernels:
+
+* `_rref_mod_py`, on Python lists: Fractions over Q (``p=None``) or
+  Python ints over GF(p).  It serves every rational system and every
+  GF(p) system of at most `_NP_THRESHOLD` cells.
+* `_rref_mod_np`, on numpy arrays over GF(p), for every prime.  The
+  array dtype is the one `_mod_dtype` picks: int64 when p < 2^31, where
+  an outer-product update ((p-1)^2 plus one subtraction) cannot
+  overflow, and object dtype (exact Python ints) otherwise.
+
+Tall GF(p) nullspaces run through `_nullspace_mod_staged` on the numpy
+kernel.  Large rational nullspaces are computed modulo several primes
+and lifted by rational reconstruction; the lifted basis is verified
+against the original matrix with exact integer arithmetic, and when it
+cannot be certified the system is solved on the exact Python kernel,
+so the fast path cannot silently produce a wrong answer.
 
 Pivoting is deterministic everywhere: leftmost pivot column first, and
 within a column the first row with a nonzero entry.
@@ -16,12 +25,13 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import compress, count
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import AmbientMismatch, FieldMismatch, NotSymmetric
-from .fields import Field, RawScalar
+from .fields import RATIONALS, Field, RawScalar
 
 # Size (in cells) above which GF(p) row reduction moves to numpy.
 _NP_THRESHOLD = 4096
@@ -48,11 +58,25 @@ _CRT_PRIMES = _primes_below_2_20(_CRT_PRIME_COUNT)
 
 
 # ---------------------------------------------------------------------------
-# raw row reduction engines
+# row reduction kernels
 
 
-def _rref_frac(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], int, list[int]]:
-    """In-place reduced row echelon form over Q."""
+def _mod_dtype(p: int):
+    """numpy dtype for residues mod p: int64 while an outer-product update,
+    (p-1)^2 plus one subtraction, stays inside int64; object otherwise."""
+    return np.int64 if p < (1 << 31) else object
+
+
+def _residues(a, p: int) -> np.ndarray:
+    """A fresh array of the residues of `a` mod p, in `_mod_dtype(p)`."""
+    dtype = _mod_dtype(p)
+    a = np.asarray(a, dtype=object if dtype is object else None)
+    return np.ascontiguousarray(a % p, dtype=dtype)
+
+
+def _rref_mod_py(rows: list[list], p: int | None) -> tuple[list[list], int, list[int]]:
+    """In-place reduced row echelon form on Python lists: over GF(p) on
+    Python ints, or over Q on Fractions when p is None."""
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
     pivots: list[int] = []
@@ -60,22 +84,25 @@ def _rref_frac(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], int, l
     for c in range(ncols):
         pivot_row = None
         for i in range(r, nrows):
-            if rows[i][c] != 0:
+            if rows[i][c] % p if p else rows[i][c]:
                 pivot_row = i
                 break
         if pivot_row is None:
             continue
         if pivot_row != r:
             rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = 1 / rows[r][c]
+        inv = pow(rows[r][c], p - 2, p) if p else 1 / rows[r][c]
         if inv != 1:
-            rows[r] = [x * inv for x in rows[r]]
+            rows[r] = [x * inv % p for x in rows[r]] if p else [x * inv for x in rows[r]]
         for i in range(nrows):
             if i != r:
-                f = rows[i][c]
+                f = rows[i][c] % p if p else rows[i][c]
                 if f:
                     row_i, row_r = rows[i], rows[r]
-                    rows[i] = [a - f * b for a, b in zip(row_i, row_r)]
+                    if p:
+                        rows[i] = [(a - f * b) % p for a, b in zip(row_i, row_r)]
+                    else:
+                        rows[i] = [a - f * b for a, b in zip(row_i, row_r)]
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -83,41 +110,9 @@ def _rref_frac(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], int, l
     return rows, len(pivots), pivots
 
 
-def _rref_mod_py(rows: list[list[int]], p: int) -> tuple[list[list[int]], int, list[int]]:
-    """Reduced row echelon form over GF(p) on plain Python ints."""
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if rows[i][c] % p:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        if pivot_row != r:
-            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = pow(rows[r][c], p - 2, p)
-        if inv != 1:
-            rows[r] = [x * inv % p for x in rows[r]]
-        for i in range(nrows):
-            if i != r:
-                f = rows[i][c] % p
-                if f:
-                    row_i, row_r = rows[i], rows[r]
-                    rows[i] = [(a - f * b) % p for a, b in zip(row_i, row_r)]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return rows, len(pivots), pivots
-
-
-def _rref_mod_np(a: np.ndarray, p: int) -> tuple[np.ndarray, int, list[int]]:
-    """Reduced row echelon form over GF(p) on an int64 array (copied)."""
-    a = np.ascontiguousarray(a % p, dtype=np.int64)
+def _rref_mod_np(a, p: int) -> tuple[np.ndarray, int, list[int]]:
+    """Reduced row echelon form over GF(p) of a copy of `a`, in `_mod_dtype(p)`."""
+    a = _residues(a, p)
     nrows, ncols = a.shape
     pivots: list[int] = []
     r = 0
@@ -148,39 +143,40 @@ def _rref_mod_np(a: np.ndarray, p: int) -> tuple[np.ndarray, int, list[int]]:
     return a, len(pivots), pivots
 
 
-def _np_safe_modulus(p: int) -> bool:
-    # outer-product updates form products up to (p-1)^2 plus one subtraction
-    return p < (1 << 31)
-
-
 def rref_raw(field: Field, rows: Sequence[Sequence[RawScalar]]):
     """Reduced row echelon form of raw rows; returns (rows, rank, pivots)."""
     work = [list(r) for r in rows]
-    if field.is_rational:
-        return _rref_frac(work)
-    p = field.p
-    cells = len(work) * (len(work[0]) if work else 0)
-    if cells > _NP_THRESHOLD and _np_safe_modulus(p):
-        arr, rank, piv = _rref_mod_np(np.array(work, dtype=np.int64), p)
-        return [list(map(int, row)) for row in arr], rank, piv
+    p = field.p  # None over Q
+    if p and len(work) * (len(work[0]) if work else 0) > _NP_THRESHOLD:
+        arr, rank, piv = _rref_mod_np(work, p)
+        return arr.tolist(), rank, piv
     return _rref_mod_py(work, p)
 
 
-def _nullspace_standard_basis(field: Field, rref_rows, rank: int, pivots: list[int], ncols: int):
+def _nullspace_standard_basis(rref_rows, pivots: list[int], ncols: int, p: int | None):
     """Standard nullspace basis (one vector per free column) from an RREF."""
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]
+    zero, one = (0, 1) if p else (Fraction(0), Fraction(1))
     basis = []
-    zero, one = field.zero(), field.one()
     for f in free:
         vec = [zero] * ncols
         vec[f] = one
         for k, c in enumerate(pivots):
             entry = rref_rows[k][f]
             if entry:
-                vec[c] = field.neg(entry)
+                vec[c] = -entry % p if p else -entry
         basis.append(vec)
     return basis
+
+
+def _nullspace_exact(field: Field, rows: list[list], ncols: int):
+    """Canonical nullspace basis on the Python kernel."""
+    p = field.p
+    red, _, piv = _rref_mod_py(rows, p)
+    basis = _nullspace_standard_basis(red, piv, ncols, p)
+    basis, _, _ = rref_raw(field, basis) if basis else (basis, 0, [])
+    return [row for row in basis if any(row)]
 
 
 def nullspace_raw(field: Field, rows: Sequence[Sequence[RawScalar]], ncols: int):
@@ -189,21 +185,11 @@ def nullspace_raw(field: Field, rows: Sequence[Sequence[RawScalar]], ncols: int)
     if nrows == 0:
         return [list(row) for row in _identity_raw(field, ncols)]
     if field.is_rational:
-        work = nrows * ncols * min(nrows, ncols)
-        if work > _CRT_THRESHOLD:
-            int_rows = _integerize_rows(rows)
-            return nullspace_int_crt(int_rows, ncols)
-        rref_rows, rank, piv = _rref_frac([list(r) for r in rows])
-    else:
-        p = field.p
-        cells = nrows * ncols
-        if cells > _NP_THRESHOLD and _np_safe_modulus(p):
-            basis = _nullspace_mod_staged(np.array([list(r) for r in rows], dtype=np.int64), p)
-            return [list(map(int, row)) for row in basis]
-        rref_rows, rank, piv = _rref_mod_py([list(r) for r in rows], p)
-    basis = _nullspace_standard_basis(field, rref_rows, rank, piv, ncols)
-    basis, _, _ = rref_raw(field, basis) if basis else (basis, 0, [])
-    return [row for row in basis if any(row)]
+        if nrows * ncols * min(nrows, ncols) > _CRT_THRESHOLD:
+            return nullspace_int_crt(_integerize_rows(rows), ncols)
+    elif nrows * ncols > _NP_THRESHOLD:
+        return _nullspace_mod_staged([list(r) for r in rows], field.p).tolist()
+    return _nullspace_exact(field, [list(r) for r in rows], ncols)
 
 
 def solve_raw(field: Field, rows: Sequence[Sequence[RawScalar]], rhs: Sequence[RawScalar]):
@@ -235,12 +221,14 @@ def _identity_raw(field: Field, n: int):
 
 
 def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Exact (a @ b) % p on int64 arrays, blocked against overflow."""
+    """Exact (a @ b) % p; int64 products are summed in blocks that cannot
+    overflow, object arrays in one product."""
     inner = a.shape[1]
     if inner == 0:
-        return np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-    per_term = (p - 1) * (p - 1)
-    block = max(1, (1 << 62) // max(per_term, 1))
+        return np.zeros((a.shape[0], b.shape[1]), dtype=_mod_dtype(p))
+    if _mod_dtype(p) is object:
+        return (a @ b) % p
+    block = max(1, (1 << 62) // max((p - 1) * (p - 1), 1))
     if block >= inner:
         return (a @ b) % p
     out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
@@ -249,15 +237,15 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-def _nullspace_mod_staged(m: np.ndarray, p: int, chunk: int = 3000) -> np.ndarray:
-    """Canonical nullspace basis over GF(p) for a tall int64 matrix.
+def _nullspace_mod_staged(m, p: int, chunk: int = 3000) -> np.ndarray:
+    """Canonical nullspace basis over GF(p) of a tall matrix (array or rows).
 
     Rows are consumed in chunks; after each chunk the candidate space is
     cut down by the chunk's constraints expressed in the current basis,
-    so the expensive full-width elimination happens only once.
+    so the expensive full-width elimination happens only once.  Repeated
+    rows are kept: they do not change the nullspace.
     """
-    m = m % p
-    m = np.unique(m, axis=0)
+    m = _residues(m, p)
     m = m[np.any(m, axis=1)]
     ncols = m.shape[1]
     basis: np.ndarray | None = None
@@ -269,17 +257,11 @@ def _nullspace_mod_staged(m: np.ndarray, p: int, chunk: int = 3000) -> np.ndarra
             blk = matmul_mod(blk, basis.T, p)
         width = blk.shape[1]
         red, rank, piv = _rref_mod_np(blk, p)
-        # standard basis built directly in numpy: one vector per free column
-        pivot_set = set(piv)
-        free = [c for c in range(width) if c not in pivot_set]
-        ns = np.zeros((len(free), width), dtype=np.int64)
-        for bi, f in enumerate(free):
-            ns[bi, f] = 1
-            for k, c in enumerate(piv):
-                ns[bi, c] = (-int(red[k, f])) % p
+        ns = _nullspace_standard_basis(red[:rank].tolist(), piv, width, p)
+        ns = np.array(ns, dtype=_mod_dtype(p)).reshape(-1, width)
         basis = ns if basis is None else matmul_mod(ns, basis, p)
     if basis is None:
-        basis = np.eye(ncols, dtype=np.int64)
+        basis = np.eye(ncols, dtype=_mod_dtype(p))
     if basis.shape[0]:
         basis, _, _ = _rref_mod_np(basis, p)
         basis = basis[np.any(basis, axis=1)]
@@ -339,52 +321,34 @@ def nullspace_int_crt(int_rows, ncols: int) -> list[list[Fraction]]:
     candidate exactly: every reconstructed vector is checked against the
     integer matrix, and the count is matched against the best modular
     rank bound (rank over Q is at least the rank mod any prime, which
-    caps the nullity from above).  A reconstruction that cannot be
-    certified raises ArithmeticError rather than returning.
+    caps the nullity from above).  When no reconstruction certifies (the
+    entries are too large for the primes), the nullspace is computed by
+    exact elimination over Q instead.
     """
-    if isinstance(int_rows, np.ndarray):
-        sparse = []
-        for r in range(int_rows.shape[0]):
-            nz = np.nonzero(int_rows[r])[0]
-            row = [(int(j), int(int_rows[r, j])) for j in nz]
-            if row:
-                sparse.append(row)
-    else:
-        sparse = [[(j, v) for j, v in enumerate(row) if v] for row in int_rows]
-        sparse = [row for row in sparse if row]
-
-    max_abs = max((abs(v) for row in sparse for _, v in row), default=0)
-    fits64 = max_abs < (1 << 62)
-    if fits64:
-        if isinstance(int_rows, np.ndarray):
-            base = int_rows.astype(np.int64, copy=False)
-        else:
-            base = np.array(int_rows, dtype=np.int64).reshape(-1, ncols)
+    # a list may hold ints past int64, which np.asarray would turn to floats
+    if not isinstance(int_rows, np.ndarray):
+        int_rows = np.array(int_rows, dtype=object).reshape(-1, ncols)
+    sparse = []
+    for row in int_rows:
+        nz = np.nonzero(row)[0]
+        if nz.size:
+            sparse.append([(int(j), int(row[j])) for j in nz])
 
     collected: dict[tuple, list[tuple[int, np.ndarray]]] = {}
-    used = 0
     for p in _CRT_PRIMES:
-        if fits64:
-            arr = base % p
-        elif isinstance(int_rows, np.ndarray):
-            arr = (int_rows % p).astype(np.int64)
-        else:
-            arr = np.array([[v % p for v in row] for row in int_rows], dtype=np.int64)
-        basis = _nullspace_mod_staged(arr, p)
+        basis = _nullspace_mod_staged(int_rows, p)
         # pivot signature of the canonical nullspace basis
         pivcols = tuple(int(np.nonzero(row)[0][0]) for row in basis)
         key = (basis.shape[0], pivcols)
         collected.setdefault(key, []).append((p, basis))
-        used += 1
-        candidate = _try_reconstruct(collected, int_rows, sparse, ncols)
+        candidate = _try_reconstruct(collected, sparse, ncols)
         if candidate is not None:
             return candidate
-        if used >= len(_CRT_PRIMES):
-            break
-    raise ArithmeticError("rational nullspace reconstruction failed to certify")
+    frac_rows = [[Fraction(v) for v in row] for row in int_rows.tolist()]
+    return _nullspace_exact(RATIONALS, frac_rows, ncols)
 
 
-def _try_reconstruct(collected, int_rows, sparse, ncols):
+def _try_reconstruct(collected, sparse, ncols):
     # prefer the signature with the smallest nullity (largest rank bound),
     # breaking ties toward the lexicographically smallest pivot tuple
     key = min(collected, key=lambda k: (k[0], k[1]))
@@ -421,11 +385,10 @@ def _try_reconstruct(collected, int_rows, sparse, ncols):
                 return None
     # nullity certificate: the modular rank bounds nullity from above and
     # the certified vectors bound it from below
-    rref_rows, rank, _ = _rref_frac([list(row) for row in rows])
+    rref_rows, rank, _ = _rref_mod_py(rows, None)
     if rank != nullity:
         return None
-    out = [row for row in rref_rows if any(row)]
-    return out
+    return [row for row in rref_rows if any(row)]
 
 
 # ---------------------------------------------------------------------------
@@ -587,7 +550,7 @@ class Subspace:
     identical, which the canonical form guarantees for equal spaces.
     """
 
-    __slots__ = ("field", "ambient", "basis")
+    __slots__ = ("field", "ambient", "basis", "pivots")
 
     def __init__(self, field: Field, ambient: int, vectors: Iterable[Iterable], canonical: bool = False):
         rows = [[field.coerce(x) for x in v] for v in vectors]
@@ -600,6 +563,8 @@ class Subspace:
         self.field = field
         self.ambient = ambient
         self.basis = tuple(rows)
+        # pivot column of each basis row: its first nonzero coordinate
+        self.pivots = tuple([next(compress(count(), r)) for r in rows])
 
     @classmethod
     def zero(cls, field: Field, ambient: int) -> "Subspace":
@@ -658,8 +623,7 @@ class Subspace:
         v = [f.coerce(x) for x in vec]
         if len(v) != self.ambient:
             raise AmbientMismatch("vector length differs from ambient dimension")
-        for row in self.basis:
-            pivot = next(i for i, x in enumerate(row) if x)
+        for pivot, row in zip(self.pivots, self.basis):
             c = v[pivot]
             if c:
                 v = [f.sub(a, f.mul(c, b)) for a, b in zip(v, row)]
@@ -673,8 +637,7 @@ class Subspace:
         f = self.field
         v = [f.coerce(x) for x in vec]
         coeffs = []
-        for row in self.basis:
-            pivot = next(i for i, x in enumerate(row) if x)
+        for pivot, row in zip(self.pivots, self.basis):
             c = v[pivot]
             coeffs.append(c)
             if c:
