@@ -27,9 +27,10 @@ from .errors import (
     FieldMismatch,
     NotAnIdeal,
     NotUnital,
+    certify,
 )
 from .fields import Field, RawScalar
-from .linalg import Matrix, Subspace, _identity_raw, solve_raw
+from .linalg import Matrix, Subspace, _identity_raw, combine_raw, solve_raw
 
 # Magnitude bound for the int64 numpy engines.
 _INT64_LIMIT = 1 << 62
@@ -268,33 +269,39 @@ class Element:
         self.algebra = algebra
         self.coords = coords
 
+    @classmethod
+    def _wrap(cls, algebra: AlgebraTable, coords: Sequence[RawScalar]) -> "Element":
+        """An element whose coordinates already are raw values of the field."""
+        x = cls.__new__(cls)
+        x.algebra = algebra
+        x.coords = tuple(coords)
+        return x
+
     def _same_algebra(self, other: "Element"):
         if self.algebra is not other.algebra and self.algebra != other.algebra:
             raise AlgebraMismatch("elements live in different algebras")
 
+    def _combine(self, coeffs, others) -> "Element":
+        return Element._wrap(self.algebra, combine_raw(self.algebra.field, coeffs, others))
+
     def __add__(self, other: "Element") -> "Element":
         self._same_algebra(other)
-        f = self.algebra.field
-        return Element(self.algebra, [f.add(a, b) for a, b in zip(self.coords, other.coords)])
+        return self._combine((1, 1), (self.coords, other.coords))
 
     def __sub__(self, other: "Element") -> "Element":
         self._same_algebra(other)
-        f = self.algebra.field
-        return Element(self.algebra, [f.sub(a, b) for a, b in zip(self.coords, other.coords)])
+        return self._combine((1, -1), (self.coords, other.coords))
 
     def __neg__(self) -> "Element":
-        f = self.algebra.field
-        return Element(self.algebra, [f.neg(a) for a in self.coords])
+        return self._combine((-1,), (self.coords,))
 
     def scale(self, c) -> "Element":
-        f = self.algebra.field
-        c = f.coerce(c)
-        return Element(self.algebra, [f.mul(c, a) for a in self.coords])
+        return self._combine((self.algebra.field.coerce(c),), (self.coords,))
 
     def __mul__(self, other):
         if isinstance(other, Element):
             self._same_algebra(other)
-            return Element(self.algebra, self.algebra.mul_coords(self.coords, other.coords))
+            return Element._wrap(self.algebra, self.algebra.mul_coords(self.coords, other.coords))
         return self.scale(other)
 
     def __rmul__(self, other):
@@ -365,7 +372,7 @@ class LinearMap:
     def apply(self, x: Element) -> Element:
         if x.algebra is not self.algebra and x.algebra != self.algebra:
             raise AlgebraMismatch("element lives in a different algebra")
-        return Element(self.algebra, self.matrix.apply(x.coords))
+        return Element._wrap(self.algebra, self.matrix.apply(x.coords))
 
     __call__ = apply
 
@@ -593,7 +600,7 @@ def is_ideal(table: AlgebraTable, space: Subspace) -> bool:
         raise BadParameters("subspace ambient differs from algebra dimension")
     products: list = []
     for vec in space.basis:
-        _products_into(table, list(vec), products)
+        _products_into(table, vec, products)
     return all(space.contains_vector(pr) for pr in products)
 
 
@@ -605,16 +612,16 @@ def ideal_closure(table: AlgebraTable, space: Subspace) -> Subspace:
     while True:
         products: list = []
         for vec in current.basis:
-            _products_into(table, list(vec), products)
-        grown = current.sum_with(Subspace(table.field, table.dim, products))
+            _products_into(table, vec, products)
+        grown = Subspace._wrap(table.field, table.dim, current.basis + tuple(products))
         if grown.dim == current.dim:
             return grown
         current = grown
 
 
 def _product_space(table: AlgebraTable, a: Subspace, b: Subspace) -> Subspace:
-    products = [table.mul_coords(list(u), list(v)) for u in a.basis for v in b.basis]
-    return Subspace(table.field, table.dim, products)
+    products = [table.mul_coords(u, v) for u in a.basis for v in b.basis]
+    return Subspace._wrap(table.field, table.dim, products)
 
 
 def ideal_cube(table: AlgebraTable, ideal: Subspace) -> Subspace:
@@ -624,7 +631,7 @@ def ideal_cube(table: AlgebraTable, ideal: Subspace) -> Subspace:
         raise NotAnIdeal("ideal_cube requires an ideal")
     square = _product_space(table, ideal, ideal)
     cube = _product_space(table, square, ideal)
-    assert is_ideal(table, cube), "cube of an ideal stopped being an ideal"
+    certify(is_ideal(table, cube), "cube of an ideal stopped being an ideal")
     return cube
 
 
@@ -648,13 +655,11 @@ def quotient_algebra(table: AlgebraTable, ideal: Subspace) -> tuple[AlgebraTable
         reduced = ideal.reduce_vector(vec)
         return [reduced[m] for m in complement]
 
+    identity = _identity_raw(f, n)
     entries = {}
-    zero = f.zero()
     for a, ia in enumerate(complement):
-        x = [zero] * n
-        x[ia] = f.one()
-        # column ib of L_x is the product b_ia * b_ib
-        op = table.mult_operator(x)
+        # column ib of L_{b_ia} is the product b_ia * b_ib
+        op = table.mult_operator(identity[ia])
         for b, ib in enumerate(complement):
             image = project([row[ib] for row in op])
             for k, v in enumerate(image):
@@ -666,12 +671,7 @@ def quotient_algebra(table: AlgebraTable, ideal: Subspace) -> tuple[AlgebraTable
     unit_coords = table.unit_coords()
     unit = project(list(unit_coords)) if unit_coords is not None else None
     quotient = AlgebraTable(f, q, entries, labels=labels, unit=unit)
-    proj_rows = []
-    for m in range(n):
-        basis = [zero] * n
-        basis[m] = f.one()
-        proj_rows.append(project(basis))
-    projection = Matrix(f, list(zip(*proj_rows)))
+    projection = Matrix._wrap(f, zip(*map(project, identity)))
     return quotient, projection
 
 
@@ -723,16 +723,9 @@ def split_null_extension(table: AlgebraTable, shift=0) -> tuple[AlgebraTable, Su
         unit = tuple(table.unit_coords()) + (f.zero(),) * n
     meta = SplitNullMeta(base_dim=n, shift=f.coerce(shift))
     ext = AlgebraTable(f, 2 * n, entries, labels=labels, unit=unit, meta=meta)
-    zero = f.zero()
-    one = f.one()
-    radical_vectors = []
-    for k in range(n):
-        vec = [zero] * (2 * n)
-        vec[n + k] = one
-        radical_vectors.append(vec)
-    radical = Subspace(f, 2 * n, radical_vectors, canonical=True)
+    radical = Subspace._wrap(f, 2 * n, _identity_raw(f, 2 * n)[n:], canonical=True)
     square = _product_space(ext, radical, radical)
-    assert square.dim == 0, "radical of a split null extension must square to zero"
+    certify(square.dim == 0, "radical of a split null extension must square to zero")
     return ext, radical
 
 

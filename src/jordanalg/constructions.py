@@ -26,9 +26,10 @@ from .errors import (
     NotScalar,
     NotSymmetric,
     NotUnital,
+    certify,
 )
 from .fields import Field, RawScalar, Scalar
-from .linalg import Matrix, Subspace
+from .linalg import Matrix, Subspace, _identity_raw
 
 
 @dataclass(frozen=True)
@@ -143,7 +144,7 @@ def _fixed_subalgebra(table: AlgebraTable, sigma: LinearMap) -> tuple[AlgebraTab
     if ambient_unit is not None:
         unit = fixed.coords_of(list(ambient_unit))
     sub = AlgebraTable(f, m, entries, unit=unit)
-    embedding = Matrix(f, list(zip(*basis)))
+    embedding = Matrix._wrap(f, zip(*basis))
     return sub, embedding
 
 
@@ -192,35 +193,25 @@ def _double(table: AlgebraTable, conj: Matrix, mu: RawScalar) -> tuple[AlgebraTa
     f = table.field
     d = table.dim
     zero = f.zero()
-
-    def conj_coords(vec):
-        return list(conj.apply(vec))
-
     entries = {}
-    for i in range(d):
-        xi = [zero] * d
-        xi[i] = f.one()
-        xi_bar = conj_coords(xi)
-        for j in range(d):
-            xj = [zero] * d
-            xj[j] = f.one()
-            xj_bar = conj_coords(xj)
-            # (x_i, 0)(x_j, 0) = (x_i x_j, 0)
-            for k, v in enumerate(table.mul_coords(xi, xj)):
-                if v:
-                    entries[(i, j, k)] = v
-            # (x_i, 0)(0, x_j) = (0, x_j x_i)
-            for k, v in enumerate(table.mul_coords(xj, xi)):
-                if v:
-                    entries[(i, j + d, k + d)] = v
-            # (0, x_i)(x_j, 0) = (0, x_i conj(x_j))
-            for k, v in enumerate(table.mul_coords(xi, xj_bar)):
-                if v:
-                    entries[(i + d, j, k + d)] = v
-            # (0, x_i)(0, x_j) = (mu conj(x_j) x_i, 0)
-            for k, v in enumerate(table.mul_coords(xj_bar, xi)):
-                if v:
-                    entries[(i + d, j + d, k)] = f.mul(mu, v)
+    for (i, j), pairs in table._rows.items():
+        for k, v in pairs:
+            # (x_i, 0)(x_j, 0) = (x_i x_j, 0) and (x_j, 0)(0, x_i) = (0, x_i x_j)
+            entries[(i, j, k)] = v
+            entries[(j, i + d, k + d)] = v
+    for i, xi in enumerate(_identity_raw(f, d)):
+        # column j of L_{x_i} conj is x_i conj(x_j); of R_{x_i} conj, conj(x_j) x_i
+        left, right = (
+            (Matrix._wrap(f, table.mult_operator(xi, side)) @ conj).rows for side in ("left", "right")
+        )
+        for k in range(d):
+            for j in range(d):
+                # (0, x_i)(x_j, 0) = (0, x_i conj(x_j))
+                if left[k][j]:
+                    entries[(i + d, j, k + d)] = left[k][j]
+                # (0, x_i)(0, x_j) = (mu conj(x_j) x_i, 0)
+                if right[k][j]:
+                    entries[(i + d, j + d, k)] = f.mul(mu, right[k][j])
     labels = tuple(f"e{t}" for t in range(2 * d))
     unit = [f.one()] + [zero] * (2 * d - 1)
     doubled = AlgebraTable(f, 2 * d, entries, labels=labels, unit=unit)
@@ -230,7 +221,7 @@ def _double(table: AlgebraTable, conj: Matrix, mu: RawScalar) -> tuple[AlgebraTa
             conj_rows[k][i] = conj.rows[k][i]
     for i in range(d):
         conj_rows[i + d][i + d] = f.neg(f.one())
-    return doubled, Matrix(f, conj_rows)
+    return doubled, Matrix._wrap(f, conj_rows)
 
 
 def cayley_dickson(field: Field, mus: Sequence) -> tuple[AlgebraTable, LinearMap]:
@@ -361,7 +352,7 @@ def gamma_involution(c3: AlgebraTable, gammas: Sequence, conj: Matrix) -> Linear
                     if c:
                         dst = (j * 3 + i) * d + k
                         rows[dst][src] = f.mul(factor, c)
-    sigma = LinearMap(c3, Matrix(f, rows))
+    sigma = LinearMap(c3, Matrix._wrap(f, rows))
     if not involution_check(c3, sigma):
         raise NotAnInvolution("gamma map failed the involution laws")
     return sigma
@@ -414,24 +405,17 @@ def albert_type(field: Field, mus: Sequence, gammas: Sequence) -> AlgebraTable:
         else:
             labels.append(f"u{key[0]}{key[1]}_{a}")
 
+    identity = _identity_raw(field, 27)
     peirce = {}
-    zero = field.zero()
-    one = field.one()
     for key, members in sorted(blocks.items()):
-        vectors = []
-        for m in members:
-            vec = [zero] * 27
-            vec[m] = one
-            vectors.append(vec)
-        peirce[key] = Subspace(field, 27, vectors, canonical=True)
+        peirce[key] = Subspace._wrap(field, 27, [identity[m] for m in members], canonical=True)
 
-    fixed = Subspace(field, c3.dim, list(zip(*embedding.rows)), canonical=True)
+    fixed = Subspace._wrap(field, c3.dim, list(zip(*embedding.rows)), canonical=True)
+    c3_identity = _identity_raw(field, c3.dim)
     idempotents = []
     for i in range(3):
-        vec = [zero] * c3.dim
-        vec[(i * 3 + i) * d] = one
-        coords = fixed.coords_of(vec)
-        assert coords is not None, "diagonal idempotent escaped the fixed space"
+        coords = fixed.coords_of(c3_identity[(i * 3 + i) * d])
+        certify(coords is not None, "diagonal idempotent escaped the fixed space")
         idempotents.append(tuple(coords))
 
     meta = AlbertMeta(

@@ -17,6 +17,8 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -49,14 +51,18 @@ from .errors import (
     NotSymmetric,
     NotUnital,
     RecipeFailure,
+    certify,
 )
 from .jordan import albert_norm, spin_norm
 from .linalg import (
     Matrix,
     Subspace,
+    _identity_raw,
     _mod_dtype,
     _nullspace_mod_staged,
+    combine_raw,
     diagonalize_symmetric_form,
+    dot_raw,
     nullspace_int_crt,
 )
 
@@ -116,17 +122,18 @@ class DerivationSpace:
     def dim(self) -> int:
         return len(self.basis)
 
+    @cached_property
+    def _flat_basis(self) -> list[tuple]:
+        return [tuple(chain.from_iterable(m.matrix.rows)) for m in self.basis]
+
     def combination(self, coeffs) -> LinearMap:
         """The derivation with the given coordinates on the basis."""
         if len(coeffs) != len(self.basis):
             raise BadParameters("need one coefficient per basis map")
         f = self.algebra.field
-        total = Matrix.zeros(f, self.algebra.dim, self.algebra.dim)
-        for c, bmap in zip(coeffs, self.basis):
-            c = f.coerce(c)
-            if c:
-                total = total + bmap.matrix.scale(c)
-        return LinearMap(self.algebra, total)
+        n = self.algebra.dim
+        flat = combine_raw(f, [f.coerce(c) for c in coeffs], self._flat_basis) or [f.zero()] * (n * n)
+        return LinearMap(self.algebra, Matrix._wrap(f, [flat[r * n : (r + 1) * n] for r in range(n)]))
 
 
 def derivation_space(table: AlgebraTable) -> DerivationSpace:
@@ -160,7 +167,7 @@ def derivation_space(table: AlgebraTable) -> DerivationSpace:
     else:
         basis = _nullspace_mod_staged(rows, f.p).tolist()
     maps = [
-        LinearMap(table, Matrix(f, [null_row[r * n : (r + 1) * n] for r in range(n)]))
+        LinearMap(table, Matrix._wrap(f, [null_row[r * n : (r + 1) * n] for r in range(n)]))
         for null_row in basis
     ]
     unit = table.unit_coords()
@@ -180,12 +187,9 @@ def inner_assoc_derivation(table: AlgebraTable, a: Element) -> LinearMap:
         raise NotAssociative("inner derivations of this form need associativity")
     if a.algebra != table:
         raise AlgebraMismatch("element lives in a different algebra")
-    f = table.field
-    left = table.mult_operator(a.coords)
-    right = table.mult_operator(a.coords, "right")
-    rows = [[f.sub(x, y) for x, y in zip(lrow, rrow)] for lrow, rrow in zip(left, right)]
-    dmap = LinearMap(table, Matrix(f, rows))
-    assert is_derivation(table, dmap)
+    left = Matrix._wrap(table.field, table.mult_operator(a.coords))
+    dmap = LinearMap(table, left - Matrix._wrap(table.field, table.mult_operator(a.coords, "right")))
+    certify(is_derivation(table, dmap), "inner map must satisfy Leibniz")
     return dmap
 
 
@@ -213,40 +217,21 @@ def _projective_points(field, space: Subspace):
     Enumeration is by coefficient tuples on the echelon basis whose
     first nonzero coefficient is 1, in lexicographic order.
     """
-    p = field.p
     m = space.dim
-    basis = space.basis
-    ambient = space.ambient
     for lead in range(m):
-        for tail in itertools.product(range(p), repeat=m - lead - 1):
-            coeffs = (0,) * lead + (1,) + tail
-            vec = [0] * ambient
-            for c, brow in zip(coeffs, basis):
-                if c:
-                    for idx, b in enumerate(brow):
-                        vec[idx] = (vec[idx] + c * b) % p
-            yield vec
-
-
-def _subspace_vector(space: Subspace, coeffs) -> list:
-    f = space.field
-    vec = [f.zero()] * space.ambient
-    for c, brow in zip(coeffs, space.basis):
-        if c:
-            for idx, b in enumerate(brow):
-                vec[idx] = f.add(vec[idx], f.mul(c, b))
-    return vec
+        for tail in itertools.product(range(field.p), repeat=m - lead - 1):
+            yield combine_raw(field, (1,) + tail, space.basis[lead:])
 
 
 def _witnessed_not_div(table, dmap, kernel, image, value_coords, method, note=""):
     """Build a not_div report from a non-invertible nonzero value,
     re-verifying the witness independently of how it was found."""
     preimage = dmap.matrix.solve(list(value_coords))
-    assert preimage is not None, "claimed value is outside the image"
+    certify(preimage is not None, "claimed value is outside the image")
     witness = Element(table, preimage)
     value = dmap.apply(witness)
-    assert not value.is_zero(), "witness value must be nonzero"
-    assert invert_element(value) is None, "witness value must be non-invertible"
+    certify(not value.is_zero(), "witness value must be nonzero")
+    certify(invert_element(value) is None, "witness value must be non-invertible")
     return DivReport(dmap, True, kernel, image, "not_div", witness, method, note)
 
 
@@ -255,20 +240,12 @@ def _gram_restricted_to(table: AlgebraTable, image: Subspace) -> Matrix:
     on the subspace's echelon basis."""
     f = table.field
     gram = table.meta.gram
-    nv = gram.nrows
 
     def pairing(u, v):
         # B(a + u, b + v) = ab - f(u, v) polarizes alpha^2 - f(v, v)
-        total = f.mul(u[0], v[0])
-        gv = gram.apply(v[1:])
-        for r in range(nv):
-            total = f.sub(total, f.mul(u[1 + r], gv[r]))
-        return total
+        return f.sub(f.mul(u[0], v[0]), dot_raw(f, u[1:], gram.apply(v[1:])))
 
-    rows = []
-    for u in image.basis:
-        rows.append([pairing(u, v) for v in image.basis])
-    return Matrix(f, rows)
+    return Matrix._wrap(f, [[pairing(u, v) for v in image.basis] for u in image.basis])
 
 
 def _spin_norm_verdict(table, dmap, kernel, image, height_bound, point_cap):
@@ -282,7 +259,7 @@ def _spin_norm_verdict(table, dmap, kernel, image, height_bound, point_cap):
     cols = [[pmat.rows[r][t] for r in range(m)] for t in range(m)]
 
     def ambient_value(inner_coeffs):
-        return _subspace_vector(image, inner_coeffs)
+        return combine_raw(f, inner_coeffs, image.basis)
 
     for t in range(m):
         if not diag[t]:
@@ -298,25 +275,19 @@ def _spin_norm_verdict(table, dmap, kernel, image, height_bound, point_cap):
             ratio = f.neg(f.div(diag[1], diag[0]))
             if not f.is_square_raw(ratio):
                 return DivReport(dmap, True, kernel, image, "div", None, "spin_norm")
-            s = f.sqrt_raw(ratio)
-            coeffs = [f.add(f.mul(s, a), b) for a, b in zip(cols[0], cols[1])]
+            coeffs = combine_raw(f, (f.sqrt_raw(ratio), 1), cols[:2])
             return _witnessed_not_div(
                 table, dmap, kernel, image, ambient_value(coeffs), "spin_norm"
             )
         # any form in three or more variables over GF(p) has a nonzero zero
         for s in range(f.p):
-            rhs = f.neg(f.add(diag[2], f.mul(diag[0], f.mul(s, s))))
-            rhs = f.div(rhs, diag[1])
+            rhs = f.div(f.sub(f.neg(diag[2]), f.mul(diag[0], f.mul(s, s))), diag[1])
             if f.is_square_raw(rhs):
-                t = f.sqrt_raw(rhs)
-                coeffs = [
-                    f.add(f.add(f.mul(s, a), f.mul(t, b)), c)
-                    for a, b, c in zip(cols[0], cols[1], cols[2])
-                ]
+                coeffs = combine_raw(f, (s, f.sqrt_raw(rhs), 1), cols[:3])
                 return _witnessed_not_div(
                     table, dmap, kernel, image, ambient_value(coeffs), "spin_norm"
                 )
-        raise AssertionError("ternary form over a prime field must be isotropic")
+        raise CertificationError("ternary form over a prime field must be isotropic")
     # rational case: definiteness settles anisotropy, otherwise bounded search
     if all(d > 0 for d in diag) or all(d < 0 for d in diag):
         return DivReport(
@@ -329,10 +300,7 @@ def _spin_norm_verdict(table, dmap, kernel, image, height_bound, point_cap):
                 continue
             ratio = -diag[j] / diag[i]
             if ratio > 0 and f.is_square_raw(ratio):
-                s = f.sqrt_raw(ratio)
-                coeffs = [
-                    f.add(f.mul(s, a), b) for a, b in zip(cols[i], cols[j])
-                ]
+                coeffs = combine_raw(f, (f.sqrt_raw(ratio), 1), (cols[i], cols[j]))
                 return _witnessed_not_div(
                     table, dmap, kernel, image, ambient_value(coeffs), "spin_norm"
                 )
@@ -400,9 +368,8 @@ def has_invertible_values(
         return _spin_norm_verdict(table, dmap, kernel, image, height_bound, point_cap)
     if isinstance(table.meta, AlbertMeta):
         witness = albert_div_witness(table, dmap)
-        assert witness is not None, "nonzero map must produce a witness"
-        value = dmap.apply(witness)
-        assert invert_element(value) is None
+        certify(witness is not None, "nonzero map must produce a witness")
+        certify(invert_element(dmap.apply(witness)) is None, "witness value must be non-invertible")
         return DivReport(
             dmap, True, kernel, image, "not_div", witness, "albert_recipe"
         )
@@ -414,15 +381,6 @@ def has_invertible_values(
 
 # ---------------------------------------------------------------------------
 # spin factors: the existence criterion and the construction
-
-
-def _form_apply(gram: Matrix, x, y):
-    f = gram.field
-    gy = gram.apply(y)
-    total = f.zero()
-    for a, b in zip(x, gy):
-        total = f.add(total, f.mul(a, b))
-    return total
 
 
 def spin_div_criterion(
@@ -457,44 +415,25 @@ def spin_div_criterion(
             ratio = f.neg(f.div(diag[j], diag[i]))
             if not f.is_square_raw(ratio):
                 return cols[i], cols[j]
-    if not f.is_rational:
-        total = f.p**nv - 1
-        if total * total <= point_cap:
-            vectors = [
-                vec
-                for vec in itertools.product(range(f.p), repeat=nv)
-                if any(vec)
-            ]
-            for x in vectors:
-                fxx = _form_apply(gram, x, x)
-                if not fxx:
-                    continue
-                for y in vectors:
-                    fyy = _form_apply(gram, y, y)
-                    if not fyy or _form_apply(gram, x, y):
-                        continue
-                    if not f.is_square_raw(f.neg(f.div(fyy, fxx))):
-                        return x, y
+    if f.is_rational:
+        height = 1
+        while height < height_bound and ((2 * (height + 1) + 1) ** nv) ** 2 <= point_cap:
+            height += 1
+        values = range(-height, height + 1)
+    elif (f.p**nv - 1) ** 2 <= point_cap:
+        values = range(f.p)
+    else:
         return None
-    height = 1
-    while (
-        height < height_bound
-        and ((2 * (height + 1) + 1) ** nv) ** 2 <= point_cap
-    ):
-        height += 1
-    vectors = [
-        tuple(f.coerce(c) for c in vec)
-        for vec in itertools.product(range(-height, height + 1), repeat=nv)
-        if any(vec)
-    ]
-    for x in vectors:
-        fxx = _form_apply(gram, x, x)
+    vectors = [tuple(map(f.coerce, vec)) for vec in itertools.product(values, repeat=nv) if any(vec)]
+    images = [gram.apply(v) for v in vectors]
+    norms = [dot_raw(f, v, gv) for v, gv in zip(vectors, images)]
+    for x, gx, fxx in zip(vectors, images, norms):
         if not fxx:
             continue
-        for y in vectors:
-            fyy = _form_apply(gram, y, y)
-            if not fyy or _form_apply(gram, x, y):
+        for y, fyy in zip(vectors, norms):
+            if not fyy or dot_raw(f, y, gx):
                 continue
+            # GF(p) residues are never negative, so this test serves both fields
             ratio = f.neg(f.div(fyy, fxx))
             if ratio < 0 or not f.is_square_raw(ratio):
                 return x, y
@@ -520,40 +459,34 @@ def construct_spin_div(
     y = tuple(f.coerce(c) for c in y)
     if len(x) != nv or len(y) != nv:
         raise BadParameters("vectors must have the form's dimension")
-    fxx = _form_apply(gram, x, x)
-    fyy = _form_apply(gram, y, y)
-    if not fxx or not fyy or _form_apply(gram, x, y):
+    gx, gy = gram.apply(x), gram.apply(y)
+    fxx, fyy = dot_raw(f, x, gx), dot_raw(f, y, gy)
+    if not fxx or not fyy or dot_raw(f, x, gy):
         raise CriterionNotSatisfied(
             "need f(x,x) != 0, f(y,y) != 0 and f(x,y) = 0"
         )
     if f.is_square_raw(f.neg(f.div(fyy, fxx))):
         raise CriterionNotSatisfied("-f(y,y)/f(x,x) must be a non-square")
-    ortho = Matrix(f, [list(gram.apply(x)), list(gram.apply(y))]).nullspace()
+    ortho = Matrix._wrap(f, [gx, gy]).nullspace()
     span_basis = [list(x), list(y)] + [list(v) for v in ortho.basis]
-    if Matrix(f, span_basis).rank() != nv:
+    if Matrix._wrap(f, span_basis).rank() != nv:
         raise DegenerateSplit("x, y and their orthogonal complement must span")
-    basis_cols = Matrix(f, list(zip(*span_basis)))
-    lam = f.div(fyy, fxx)
-    minus_lam_x = [f.neg(f.mul(lam, c)) for c in x]
+    basis_cols = Matrix._wrap(f, zip(*span_basis))
+    minus_lam = f.neg(f.div(fyy, fxx))
     zero = f.zero()
     rows = [[zero] * (nv + 1) for _ in range(nv + 1)]
-    for c in range(nv):
-        e = [zero] * nv
-        e[c] = f.one()
+    for c, e in enumerate(_identity_raw(f, nv)):
         coeffs = basis_cols.solve(e)
-        img = [
-            f.add(f.mul(coeffs[0], yc), f.mul(coeffs[1], xc))
-            for yc, xc in zip(y, minus_lam_x)
-        ]
+        img = combine_raw(f, (coeffs[0], f.mul(minus_lam, coeffs[1])), (y, x))
         for r in range(nv):
             rows[1 + r][1 + c] = img[r]
-    dmap = LinearMap(table, Matrix(f, rows))
-    assert is_derivation(table, dmap), "construction must satisfy Leibniz"
+    dmap = LinearMap(table, Matrix._wrap(f, rows))
+    certify(is_derivation(table, dmap), "construction must satisfy Leibniz")
     if not f.is_rational:
         count = (f.p ** dmap.image().dim - 1) // (f.p - 1)
         if count <= point_cap:
             report = has_invertible_values(table, dmap, point_cap=point_cap)
-            assert report.verdict == "div", "constructed map must have invertible values"
+            certify(report.verdict == "div", "constructed map must have invertible values")
     return dmap
 
 
@@ -610,7 +543,7 @@ def albert_div_witness(table: AlgebraTable, dmap: LinearMap) -> Element | None:
             if albert_norm(value) != 0:
                 raise RecipeFailure("off-diagonal image has nonzero norm")
             return a
-    assert dmap.is_zero(), "recipe exhausts a basis only for the zero map"
+    certify(dmap.is_zero(), "recipe exhausts a basis only for the zero map")
     return None
 
 
@@ -640,26 +573,17 @@ def largest_ideal_in_kernel(table: AlgebraTable, dmap: LinearMap) -> Subspace:
             for z in dual.basis:
                 for side in sides:
                     # z applied to w * b_j (left) or b_j * w (right), per w
-                    rows.append([_dot(f, z, [r[j] for r in op]) for op in ops[side]])
-        coeff_space = Matrix(f, rows).nullspace()
-        refined_vectors = [
-            _subspace_vector(space, coeffs) for coeffs in coeff_space.basis
-        ]
-        refined = Subspace(f, n, refined_vectors)
+                    rows.append([dot_raw(f, z, [r[j] for r in op]) for op in ops[side]])
+        coeff_space = Matrix._wrap(f, rows).nullspace()
+        refined_vectors = [combine_raw(f, coeffs, space.basis) for coeffs in coeff_space.basis]
+        refined = Subspace._wrap(f, n, refined_vectors)
         if refined.dim == space.dim:
             break
         space = refined
-    assert is_ideal(table, space), "fixpoint must be an ideal"
+    certify(is_ideal(table, space), "fixpoint must be an ideal")
     kernel = dmap.kernel()
-    assert all(kernel.contains_vector(v) for v in space.basis)
+    certify(all(kernel.contains_vector(v) for v in space.basis), "fixpoint must lie in the kernel")
     return space
-
-
-def _dot(f, u, v):
-    total = f.zero()
-    for a, b in zip(u, v):
-        total = f.add(total, f.mul(a, b))
-    return total
 
 
 @dataclass(frozen=True)
@@ -734,16 +658,14 @@ def div_reduction(
     for m in complement:
         image_col = [dmap.matrix.rows[r][m] for r in range(n)]
         cols.append(list(projection.apply(image_col)))
-    induced = LinearMap(quotient, Matrix(f, list(zip(*cols))))
-    assert is_derivation(quotient, induced), "induced map must satisfy Leibniz"
+    induced = LinearMap(quotient, Matrix._wrap(f, zip(*cols)))
+    certify(is_derivation(quotient, induced), "induced map must satisfy Leibniz")
     if report.verdict == "div":
         reduced_report = has_invertible_values(quotient, induced, point_cap=point_cap)
-        assert reduced_report.verdict != "not_div", (
-            "reduction may not destroy invertible values"
-        )
-        assert simplicity_scan(quotient, point_cap=point_cap) != "not_simple", (
-            "quotient by the largest kernel ideal must have no proper "
-            "principal ideal"
+        certify(reduced_report.verdict != "not_div", "reduction may not destroy invertible values")
+        certify(
+            simplicity_scan(quotient, point_cap=point_cap) != "not_simple",
+            "quotient by the largest kernel ideal must have no proper principal ideal",
         )
     return ReductionResult(quotient, induced, ideal, projection)
 
@@ -839,8 +761,8 @@ def extend_derivation_diagonal(
     if lam:
         for c in range(n):
             rows[n + c][n + c] = f.add(rows[n + c][n + c], lam)
-    dmap = LinearMap(ext, Matrix(f, rows))
-    assert is_derivation(ext, dmap)
+    dmap = LinearMap(ext, Matrix._wrap(f, rows))
+    certify(is_derivation(ext, dmap), "extended map must satisfy Leibniz")
     return dmap
 
 
@@ -858,8 +780,8 @@ def extend_derivation_eps(ext: AlgebraTable, base_map: LinearMap) -> LinearMap:
     for r in range(n):
         for c in range(n):
             rows[n + r][c] = base_rows[r][c]
-    dmap = LinearMap(ext, Matrix(f, rows))
-    assert is_derivation(ext, dmap)
+    dmap = LinearMap(ext, Matrix._wrap(f, rows))
+    certify(is_derivation(ext, dmap), "extended map must satisfy Leibniz")
     return dmap
 
 
@@ -902,5 +824,5 @@ def enumerate_ideals(
             found[key] = total
     out = sorted(found.values(), key=lambda s: (s.dim, tuple(s.basis)))
     for space in out:
-        assert is_ideal(table, space)
+        certify(is_ideal(table, space), "enumerated subspace must be an ideal")
     return out

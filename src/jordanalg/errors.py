@@ -109,3 +109,10 @@ class CapExceeded(AlgebraError):
 
 class NotFinite(AlgebraError):
     """The operation needs a finite field."""
+
+
+def certify(ok, message: str) -> None:
+    """Raise CertificationError(message) unless ok.  Unlike an assert,
+    the check still runs under python -O."""
+    if not ok:
+        raise CertificationError(message)

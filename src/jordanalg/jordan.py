@@ -17,9 +17,10 @@ from .errors import (
     NotAlbertType,
     NotIdempotent,
     NotSpinFactor,
+    certify,
 )
 from .fields import Scalar
-from .linalg import Matrix, Subspace
+from .linalg import Matrix, Subspace, dot_raw
 
 
 def jordan_inverse(x: Element) -> Element | None:
@@ -50,7 +51,7 @@ def is_idempotent(x: Element) -> bool:
 
 def left_multiplication(x: Element) -> Matrix:
     """The matrix of y -> xy on the algebra's basis."""
-    return Matrix(x.algebra.field, x.algebra.mult_operator(x.coords))
+    return Matrix._wrap(x.algebra.field, x.algebra.mult_operator(x.coords))
 
 
 def peirce_single(e: Element) -> tuple[Subspace, Subspace, Subspace]:
@@ -108,19 +109,8 @@ def spin_norm(x: Element) -> Scalar:
     if not isinstance(table.meta, SpinMeta):
         raise NotSpinFactor("element does not carry a spin form")
     f = table.field
-    gram = table.meta.gram
-    alpha = x.coords[0]
-    v = list(x.coords[1:])
-    fvv = f.zero()
-    for i, gi in enumerate(gram.rows):
-        if not v[i]:
-            continue
-        row = f.zero()
-        for j, g in enumerate(gi):
-            if g and v[j]:
-                row = f.add(row, f.mul(g, v[j]))
-        fvv = f.add(fvv, f.mul(v[i], row))
-    return Scalar(f, f.sub(f.mul(alpha, alpha), fvv))
+    alpha, v = x.coords[0], x.coords[1:]
+    return Scalar(f, f.sub(f.mul(alpha, alpha), dot_raw(f, v, table.meta.gram.apply(v))))
 
 
 def albert_slots(x: Element):
@@ -140,7 +130,7 @@ def albert_slots(x: Element):
     diag = []
     for i in range(3):
         entry = block(i, i)
-        assert not any(entry[1:]), "diagonal entry is not scalar"
+        certify(not any(entry[1:]), "diagonal entry is not scalar")
         diag.append(entry[0])
     a = Element(coeff, block(1, 2))
     b = Element(coeff, block(2, 0))
@@ -164,9 +154,6 @@ def albert_norm(x: Element) -> Scalar:
     nb = cd_norm(b).value
     nc = cd_norm(c).value
     tr = cd_trace((c * a) * b).value
-    total = f.mul(f.mul(a1, a2), a3)
-    total = f.sub(total, f.mul(a1, f.mul(f.mul(f.inv(g3), g2), na)))
-    total = f.sub(total, f.mul(a2, f.mul(f.mul(f.inv(g1), g3), nb)))
-    total = f.sub(total, f.mul(a3, f.mul(f.mul(f.inv(g2), g1), nc)))
-    total = f.add(total, tr)
-    return Scalar(f, total)
+    weighted = [f.mul(f.div(gj, gi), nx) for gj, gi, nx in ((g2, g3, na), (g3, g1, nb), (g1, g2, nc))]
+    cross = dot_raw(f, (a1, a2, a3), weighted)
+    return Scalar(f, f.add(f.sub(f.mul(f.mul(a1, a2), a3), cross), tr))

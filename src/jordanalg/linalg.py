@@ -19,6 +19,13 @@ so the fast path cannot silently produce a wrong answer.
 
 Pivoting is deterministic everywhere: leftmost pivot column first, and
 within a column the first row with a nonzero entry.
+
+Raw-vector arithmetic goes through two helpers, `combine_raw` (a linear
+combination of rows) and `dot_raw` (a dot product).  Each takes the
+field branch once per vector: plain arithmetic for Fractions, one
+``% p`` at the end for GF(p).  `Matrix` and `Subspace` coerce entries
+only in their public constructors; results computed from values that
+are already raw are wrapped as they are.
 """
 
 from __future__ import annotations
@@ -26,6 +33,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import compress, count
+from operator import mul
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -204,6 +212,30 @@ def solve_raw(field: Field, rows: Sequence[Sequence[RawScalar]], rhs: Sequence[R
     for k, c in enumerate(piv):
         x[c] = red[k][ncols]
     return x
+
+
+def combine_raw(field: Field, coeffs: Sequence[RawScalar], rows: Sequence[Sequence[RawScalar]]) -> list:
+    """Sum of c * row over paired coefficients and raw rows, skipping zero
+    coefficients; zeros of the rows' length when every coefficient is zero."""
+    out = None
+    for c, row in zip(coeffs, rows):
+        if c:
+            if out is None:
+                out = list(row) if c == 1 else [c * b for b in row]
+            else:
+                out = [a + c * b for a, b in zip(out, row)]
+    if out is None:
+        return [field.zero()] * (len(rows[0]) if rows else 0)
+    p = field.p
+    return [a % p for a in out] if p else out
+
+
+def dot_raw(field: Field, u: Sequence[RawScalar], v: Sequence[RawScalar]) -> RawScalar:
+    """Sum of a * b over paired raw entries."""
+    p = field.p
+    if p:
+        return sum(map(mul, u, v)) % p
+    return sum((a * b for a, b in zip(u, v) if a and b), Fraction(0))
 
 
 def _identity_raw(field: Field, n: int):
@@ -402,25 +434,30 @@ class Matrix:
 
     def __init__(self, field: Field, rows: Iterable[Iterable]):
         data = tuple(tuple(field.coerce(x) for x in row) for row in rows)
-        if data:
-            width = len(data[0])
-            if any(len(r) != width for r in data):
-                raise ValueError("ragged rows")
-        else:
-            width = 0
+        if data and any(len(r) != len(data[0]) for r in data):
+            raise ValueError("ragged rows")
+        self._set(field, data)
+
+    def _set(self, field: Field, data: tuple):
         self.field = field
         self.rows = data
         self.nrows = len(data)
-        self.ncols = width
+        self.ncols = len(data[0]) if data else 0
+
+    @classmethod
+    def _wrap(cls, field: Field, rows: Iterable[Sequence[RawScalar]]) -> "Matrix":
+        """A matrix of rows that already hold raw values of the field."""
+        m = cls.__new__(cls)
+        m._set(field, tuple(map(tuple, rows)))
+        return m
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
-        return cls(field, _identity_raw(field, n))
+        return cls._wrap(field, _identity_raw(field, n))
 
     @classmethod
     def zeros(cls, field: Field, nrows: int, ncols: int) -> "Matrix":
-        zero = field.zero()
-        return cls(field, [[zero] * ncols for _ in range(nrows)])
+        return cls._wrap(field, [[field.zero()] * ncols] * nrows)
 
     def __eq__(self, other) -> bool:
         return (
@@ -439,55 +476,32 @@ class Matrix:
         if self.field != other.field:
             raise FieldMismatch("matrix fields differ")
 
-    def __add__(self, other: "Matrix") -> "Matrix":
+    def _combine(self, c, other: "Matrix") -> "Matrix":
+        """self + c * other, entrywise."""
         self._check_field(other)
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError("shape mismatch")
         f = self.field
-        return Matrix(
-            f,
-            [
-                [f.add(a, b) for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ],
-        )
+        return Matrix._wrap(f, [combine_raw(f, (1, c), pair) for pair in zip(self.rows, other.rows)])
+
+    def __add__(self, other: "Matrix") -> "Matrix":
+        return self._combine(1, other)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        self._check_field(other)
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError("shape mismatch")
-        f = self.field
-        return Matrix(
-            f,
-            [
-                [f.sub(a, b) for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ],
-        )
+        return self._combine(-1, other)
 
     def scale(self, c) -> "Matrix":
         f = self.field
         c = f.coerce(c)
-        return Matrix(f, [[f.mul(c, x) for x in row] for row in self.rows])
+        return Matrix._wrap(f, [combine_raw(f, (c,), (row,)) for row in self.rows])
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         self._check_field(other)
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch")
         f = self.field
-        cols = list(zip(*other.rows)) if other.rows else []
-        out = []
-        zero = f.zero()
-        for row in self.rows:
-            new = []
-            for col in cols:
-                acc = zero
-                for a, b in zip(row, col):
-                    if a and b:
-                        acc = f.add(acc, f.mul(a, b))
-                new.append(acc)
-            out.append(new)
-        return Matrix(f, out)
+        cols = list(zip(*other.rows))
+        return Matrix._wrap(f, [[dot_raw(f, row, col) for col in cols] for row in self.rows])
 
     def apply(self, vec: Sequence) -> tuple:
         """Matrix-vector product on a raw coordinate tuple."""
@@ -495,18 +509,10 @@ class Matrix:
         v = [f.coerce(x) for x in vec]
         if len(v) != self.ncols:
             raise ValueError("vector length mismatch")
-        out = []
-        zero = f.zero()
-        for row in self.rows:
-            acc = zero
-            for a, b in zip(row, v):
-                if a and b:
-                    acc = f.add(acc, f.mul(a, b))
-            out.append(acc)
-        return tuple(out)
+        return tuple([dot_raw(f, row, v) for row in self.rows])
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.field, list(zip(*self.rows)) if self.rows else [])
+        return Matrix._wrap(self.field, zip(*self.rows))
 
     def is_symmetric(self) -> bool:
         if self.nrows != self.ncols:
@@ -522,17 +528,17 @@ class Matrix:
 
     def rref(self) -> tuple["Matrix", int, tuple[int, ...]]:
         rows, rank, piv = rref_raw(self.field, self.rows)
-        return Matrix(self.field, rows), rank, tuple(piv)
+        return Matrix._wrap(self.field, rows), rank, tuple(piv)
 
     def rank(self) -> int:
         return self.rref()[1]
 
     def nullspace(self) -> "Subspace":
         basis = nullspace_raw(self.field, self.rows, self.ncols)
-        return Subspace(self.field, self.ncols, basis, canonical=True)
+        return Subspace._wrap(self.field, self.ncols, basis, canonical=True)
 
     def column_space(self) -> "Subspace":
-        return Subspace(self.field, self.nrows, list(zip(*self.rows)) if self.rows else [])
+        return Subspace._wrap(self.field, self.nrows, list(zip(*self.rows)))
 
     def solve(self, rhs: Sequence) -> tuple | None:
         f = self.field
@@ -554,9 +560,11 @@ class Subspace:
 
     def __init__(self, field: Field, ambient: int, vectors: Iterable[Iterable], canonical: bool = False):
         rows = [[field.coerce(x) for x in v] for v in vectors]
-        for row in rows:
-            if len(row) != ambient:
-                raise AmbientMismatch("vector length differs from ambient dimension")
+        if any(len(row) != ambient for row in rows):
+            raise AmbientMismatch("vector length differs from ambient dimension")
+        self._set(field, ambient, rows, canonical)
+
+    def _set(self, field: Field, ambient: int, rows: Sequence[Sequence[RawScalar]], canonical: bool):
         if rows and not canonical:
             rows, _, _ = rref_raw(field, rows)
         rows = [tuple(r) for r in rows if any(r)]
@@ -567,12 +575,21 @@ class Subspace:
         self.pivots = tuple([next(compress(count(), r)) for r in rows])
 
     @classmethod
+    def _wrap(
+        cls, field: Field, ambient: int, rows: Sequence[Sequence[RawScalar]], canonical: bool = False
+    ) -> "Subspace":
+        """The span of rows of length `ambient` that already hold raw values."""
+        space = cls.__new__(cls)
+        space._set(field, ambient, rows, canonical)
+        return space
+
+    @classmethod
     def zero(cls, field: Field, ambient: int) -> "Subspace":
-        return cls(field, ambient, [], canonical=True)
+        return cls._wrap(field, ambient, [], canonical=True)
 
     @classmethod
     def full(cls, field: Field, ambient: int) -> "Subspace":
-        return cls(field, ambient, _identity_raw(field, ambient), canonical=True)
+        return cls._wrap(field, ambient, _identity_raw(field, ambient), canonical=True)
 
     @property
     def dim(self) -> int:
@@ -600,14 +617,14 @@ class Subspace:
 
     def sum_with(self, other: "Subspace") -> "Subspace":
         self._check(other)
-        return Subspace(self.field, self.ambient, list(self.basis) + list(other.basis))
+        return Subspace._wrap(self.field, self.ambient, self.basis + other.basis)
 
     def annihilator(self) -> "Subspace":
         """Linear functionals (as coordinate vectors) vanishing on this space."""
         if not self.basis:
             return Subspace.full(self.field, self.ambient)
         basis = nullspace_raw(self.field, self.basis, self.ambient)
-        return Subspace(self.field, self.ambient, basis, canonical=True)
+        return Subspace._wrap(self.field, self.ambient, basis, canonical=True)
 
     def intersect(self, other: "Subspace") -> "Subspace":
         self._check(other)
@@ -615,36 +632,33 @@ class Subspace:
         if not constraints:
             return Subspace.full(self.field, self.ambient)
         basis = nullspace_raw(self.field, constraints, self.ambient)
-        return Subspace(self.field, self.ambient, basis, canonical=True)
+        return Subspace._wrap(self.field, self.ambient, basis, canonical=True)
 
-    def reduce_vector(self, vec: Sequence) -> list:
-        """Remainder of vec after eliminating this basis's pivot coordinates."""
+    def _eliminate(self, vec: Sequence) -> tuple[list, list]:
+        """(coefficients, remainder) of vec, eliminating pivot by pivot."""
         f = self.field
         v = [f.coerce(x) for x in vec]
         if len(v) != self.ambient:
             raise AmbientMismatch("vector length differs from ambient dimension")
+        coeffs = []
         for pivot, row in zip(self.pivots, self.basis):
             c = v[pivot]
+            coeffs.append(c)
             if c:
-                v = [f.sub(a, f.mul(c, b)) for a, b in zip(v, row)]
-        return v
+                v = combine_raw(f, (1, -c), (v, row))
+        return coeffs, v
+
+    def reduce_vector(self, vec: Sequence) -> list:
+        """Remainder of vec after eliminating this basis's pivot coordinates."""
+        return self._eliminate(vec)[1]
 
     def contains_vector(self, vec: Sequence) -> bool:
         return not any(self.reduce_vector(vec))
 
     def coords_of(self, vec: Sequence) -> tuple | None:
         """Coefficients of vec on the canonical basis, or None if outside."""
-        f = self.field
-        v = [f.coerce(x) for x in vec]
-        coeffs = []
-        for pivot, row in zip(self.pivots, self.basis):
-            c = v[pivot]
-            coeffs.append(c)
-            if c:
-                v = [f.sub(a, f.mul(c, b)) for a, b in zip(v, row)]
-        if any(v):
-            return None
-        return tuple(coeffs)
+        coeffs, rest = self._eliminate(vec)
+        return None if any(rest) else tuple(coeffs)
 
     def contains_subspace(self, other: "Subspace") -> bool:
         self._check(other)
@@ -665,18 +679,6 @@ def solve(m: Matrix, rhs: Sequence) -> tuple | None:
 
 # ---------------------------------------------------------------------------
 # symmetric form diagonalization
-
-
-def _form_value(field: Field, g, u, v):
-    acc = field.zero()
-    for i, ui in enumerate(u):
-        if not ui:
-            continue
-        row = g[i]
-        for j, vj in enumerate(v):
-            if vj and row[j]:
-                acc = field.add(acc, field.mul(ui, field.mul(row[j], vj)))
-    return acc
 
 
 def _normalize_pivot(field: Field, v: list) -> list:
@@ -713,8 +715,11 @@ def diagonalize_symmetric_form(g: Matrix) -> tuple[Matrix, Matrix]:
         raise NotSymmetric("form matrix must be symmetric")
     field = g.field
     n = g.nrows
-    grows = [list(r) for r in g.rows]
-    working = [row[:] for row in _identity_raw(field, n)]
+
+    def form(u, v):
+        return dot_raw(field, u, g.apply(v))
+
+    working = _identity_raw(field, n)
     chosen: list[list] = []
     diag: list = []
 
@@ -724,7 +729,7 @@ def diagonalize_symmetric_form(g: Matrix) -> tuple[Matrix, Matrix]:
         for v in vecs:
             if any(v) and not seen.contains_vector(v):
                 kept.append(v)
-                seen = seen.sum_with(Subspace(field, n, [v]))
+                seen = seen.sum_with(Subspace._wrap(field, n, [v]))
         return kept
 
     while True:
@@ -733,14 +738,14 @@ def diagonalize_symmetric_form(g: Matrix) -> tuple[Matrix, Matrix]:
             break
         pivot = None
         for v in working:
-            if _form_value(field, grows, v, v):
+            if form(v, v):
                 pivot = v
                 break
         if pivot is None:
             pair = None
             for i in range(len(working)):
                 for j in range(i + 1, len(working)):
-                    if _form_value(field, grows, working[i], working[j]):
+                    if form(working[i], working[j]):
                         pair = (i, j)
                         break
                 if pair:
@@ -753,24 +758,21 @@ def diagonalize_symmetric_form(g: Matrix) -> tuple[Matrix, Matrix]:
                     diag.append(field.zero())
                 break
             i, j = pair
-            pivot = [field.add(a, b) for a, b in zip(working[i], working[j])]
+            pivot = combine_raw(field, (1, 1), (working[i], working[j]))
         pivot = _normalize_pivot(field, pivot)
-        fv = _form_value(field, grows, pivot, pivot)
+        fv = form(pivot, pivot)
         chosen.append(pivot)
         diag.append(fv)
         inv = field.inv(fv)
         nxt = []
         for w in working:
-            c = field.mul(inv, _form_value(field, grows, pivot, w))
+            c = field.mul(inv, form(pivot, w))
             if c:
-                w = [field.sub(a, field.mul(c, b)) for a, b in zip(w, pivot)]
+                w = combine_raw(field, (1, -c), (w, pivot))
             nxt.append(w)
         working = nxt
 
-    p_mat = Matrix(field, list(zip(*chosen)))
-    zero = field.zero()
-    d_rows = [[zero] * n for _ in range(n)]
+    d_rows = [[field.zero()] * n for _ in range(n)]
     for i, d in enumerate(diag):
         d_rows[i][i] = d
-    d_mat = Matrix(field, d_rows)
-    return p_mat, d_mat
+    return Matrix._wrap(field, zip(*chosen)), Matrix._wrap(field, d_rows)

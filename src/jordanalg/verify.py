@@ -44,11 +44,11 @@ from .derivations import (
     sample_derivation,
     spin_div_criterion,
 )
-from .errors import BadParameters, RecipeFailure
+from .errors import BadParameters, RecipeFailure, certify
 from .fields import RATIONALS, prime_field
 from .formats import read_algebra, write_algebra
 from .jordan import albert_norm, jordan_inverse, peirce_frame, peirce_single, spin_norm
-from .linalg import Matrix, Subspace
+from .linalg import Subspace, combine_raw
 
 F3 = prime_field(3)
 F5 = prime_field(5)
@@ -119,7 +119,7 @@ class _Run:
         def build():
             table = diagonal_spin_factor(F3, [1, 1])
             pair = spin_div_criterion(table.meta.gram, point_cap=self.cap)
-            assert pair is not None
+            certify(pair is not None, "criterion must hold for GF(3) diag(1,1)")
             return table, construct_spin_div(table, *pair, point_cap=self.cap)
 
         return self._get("spin3div", build)
@@ -260,10 +260,7 @@ def _check_spin_div_gf3(run: _Run):
         return FAIL, f"constructed map has image dim {image.dim}, expected 2"
     bad = 0
     for coeffs in itertools.product(range(3), repeat=2):
-        vec = [table.field.zero()] * table.dim
-        for c, b in zip(coeffs, image.basis):
-            for i, x in enumerate(b):
-                vec[i] = table.field.add(vec[i], table.field.mul(c, x))
+        vec = combine_raw(table.field, coeffs, image.basis)
         if any(vec) and invert_element(table.element(vec)) is None:
             bad += 1
     report = has_invertible_values(table, dmap, point_cap=run.cap)
