@@ -605,7 +605,8 @@ def is_ideal(table: AlgebraTable, space: Subspace) -> bool:
 
 
 def ideal_closure(table: AlgebraTable, space: Subspace) -> Subspace:
-    """Smallest ideal containing the subspace (iterated closure)."""
+    """Smallest ideal containing the subspace (iterated closure, which
+    stops early once it reaches the whole algebra)."""
     if space.ambient != table.dim:
         raise BadParameters("subspace ambient differs from algebra dimension")
     current = space
@@ -614,7 +615,7 @@ def ideal_closure(table: AlgebraTable, space: Subspace) -> Subspace:
         for vec in current.basis:
             _products_into(table, vec, products)
         grown = Subspace._wrap(table.field, table.dim, current.basis + tuple(products))
-        if grown.dim == current.dim:
+        if grown.dim == current.dim or grown.dim == table.dim:
             return grown
         current = grown
 
@@ -735,8 +736,8 @@ def split_null_extension(table: AlgebraTable, shift=0) -> tuple[AlgebraTable, Su
 
 def _inversion_kind(table: AlgebraTable) -> str:
     """Which equations define an inverse: the Jordan pair on commutative
-    tables, L_x y = 1 on associative ones, and matching left and right
-    solutions on any other table."""
+    tables, L_x y = 1 on associative ones, and x*y = y*x = 1 on any
+    other table."""
     if check_identity(table, "commutative"):
         return "jordan"
     if check_identity(table, "associative"):
@@ -750,8 +751,8 @@ def _invert_coords(table: AlgebraTable, coords, kind: str) -> list | None:
     "jordan" solves x*y = 1 and x^2*y = x as one stacked system.
     "associative" solves L_x y = 1; in a finite-dimensional associative
     unital algebra a right inverse is two-sided.  "generic" solves
-    L_x y = 1 and R_x y = 1 separately and requires the two canonical
-    solutions to agree.  Every solution is re-verified by products.
+    L_x y = 1 and R_x y = 1 as one stacked system, so the verdict does
+    not depend on the basis.  Every solution is re-verified by products.
     """
     unit = table.unit_coords()
     if unit is None:
@@ -765,12 +766,11 @@ def _invert_coords(table: AlgebraTable, coords, kind: str) -> list | None:
         if sol is None or table.mul_coords(x, sol) != one or table.mul_coords(xsq, sol) != x:
             return None
         return sol
-    sol = solve_raw(f, table.mult_operator(x), one)
-    if sol is None:
-        return None
-    if kind == "generic" and solve_raw(f, table.mult_operator(x, "right"), one) != sol:
-        return None
-    if table.mul_coords(x, sol) != one or table.mul_coords(sol, x) != one:
+    if kind == "generic":
+        sol = solve_raw(f, table.mult_operator(x) + table.mult_operator(x, "right"), one + one)
+    else:
+        sol = solve_raw(f, table.mult_operator(x), one)
+    if sol is None or table.mul_coords(x, sol) != one or table.mul_coords(sol, x) != one:
         return None
     return sol
 

@@ -28,6 +28,8 @@ from .algebra import (
     LinearMap,
     SplitNullMeta,
     _INT64_LIMIT,
+    _invert_coords,
+    _inversion_kind,
     check_identity,
     ideal_closure,
     invert_element,
@@ -211,14 +213,17 @@ class DivReport:
     note: str = ""
 
 
-def _projective_points(field, space: Subspace):
+def _projective_points(field, space: Subspace, *, trailing_first: bool = False):
     """Ambient vectors covering every line of the subspace once.
 
     Enumeration is by coefficient tuples on the echelon basis whose
-    first nonzero coefficient is 1, in lexicographic order.
+    first nonzero coefficient is 1, in lexicographic order; with
+    `trailing_first` the lead index runs from the last basis vector to
+    the first, so the span of the trailing vectors comes first.
     """
     m = space.dim
-    for lead in range(m):
+    leads = range(m - 1, -1, -1) if trailing_first else range(m)
+    for lead in leads:
         for tail in itertools.product(range(field.p), repeat=m - lead - 1):
             yield combine_raw(field, (1,) + tail, space.basis[lead:])
 
@@ -674,6 +679,33 @@ def div_reduction(
 # exhaustive searches and split-null extensions
 
 
+def _class_may_pass(
+    table: AlgebraTable, kind: str, dmap: LinearMap, point_cap: int, budget: int
+) -> tuple[bool, int]:
+    """Lean test of one projective class of derivations, plus the number
+    of image points it enumerated.
+
+    False as soon as a point of the image is not invertible; True when
+    every point is, or when the image has more than `point_cap` points
+    (the verdict is then left to `has_invertible_values`).  The Leibniz
+    rule needs no re-check, since the basis is certified and every
+    combination inherits it, and no kernel or witness is built.  Needing
+    more than `budget` points is refused.
+    """
+    f = table.field
+    image = dmap.image()
+    if (f.p**image.dim - 1) // (f.p - 1) > point_cap:
+        return True, 0
+    used = 0
+    for value in _projective_points(f, image, trailing_first=True):
+        used += 1
+        if used > budget:
+            raise CapExceeded(f"image points enumerated by the search exceed the cap {point_cap}")
+        if _invert_coords(table, value, kind) is None:
+            return False, used
+    return True, used
+
+
 def div_search(
     table: AlgebraTable,
     *,
@@ -682,7 +714,13 @@ def div_search(
 ) -> list[DivReport]:
     """Classify every derivation of a finite-field table and return the
     reports of all nonzero ones with invertible values, in the
-    lexicographic order of their coordinates on the derivation basis."""
+    lexicographic order of their coordinates on the derivation basis.
+
+    lambda*D has the image of D, so one lean verdict serves each
+    projective class; only members of classes that pass get the full
+    `has_invertible_values` report.  `point_cap` bounds both the points
+    of one image and the points enumerated over the whole search.
+    """
     f = table.field
     if f.is_rational:
         raise NotFinite("exhaustive search needs a finite field")
@@ -692,12 +730,27 @@ def div_search(
         raise CapExceeded(
             f"{total} derivation candidates exceed the cap {tuple_cap}"
         )
+    if space.dim and table.unit_coords() is None:
+        raise NotUnital("the invertible-values question needs a unit")
+    p = f.p
+    kind = _inversion_kind(table)
+    budget = point_cap
+    class_passes: dict[tuple, bool] = {}
     hits = []
-    for tup in itertools.product(range(f.p), repeat=space.dim):
-        if not any(tup):
+    for tup in itertools.product(range(p), repeat=space.dim):
+        lead = next((c for c in tup if c), 0)
+        if not lead:
             continue
-        dmap = space.combination(tup)
-        report = has_invertible_values(table, dmap, point_cap=point_cap)
+        inv = pow(lead, -1, p)
+        key = tuple(c * inv % p for c in tup)
+        passes = class_passes.get(key)
+        if passes is None:
+            passes, used = _class_may_pass(table, kind, space.combination(key), point_cap, budget)
+            budget -= used
+            class_passes[key] = passes
+        if not passes:
+            continue
+        report = has_invertible_values(table, space.combination(tup), point_cap=point_cap)
         if report.verdict == "div":
             hits.append(report)
     return hits

@@ -146,9 +146,11 @@ def _reference_inverse(table, coords, kind):
         y = Matrix(f, lx.rows + lxsq.rows).solve(one + x)
         ok = y is not None and table.mul_coords(x, list(y)) == one and table.mul_coords(xsq, list(y)) == x
         return y if ok else None
-    y = lx.solve(one)
-    if kind == "generic" and Matrix(f, _operator_reference(table, x, "right")).solve(one) != y:
-        return None
+    if kind == "generic":
+        rx = Matrix(f, _operator_reference(table, x, "right"))
+        y = Matrix(f, lx.rows + rx.rows).solve(one + one)
+    else:
+        y = lx.solve(one)
     ok = y is not None and table.mul_coords(x, list(y)) == one and table.mul_coords(list(y), x) == one
     return y if ok else None
 
@@ -183,14 +185,47 @@ def test_inverse_verdicts_match_reference_on_every_element(name, build, kind):
     assert is_division_algebra(table) == ("yes" if all_invertible else "no")
 
 
-def test_generic_rule_rejects_a_two_sided_inverse():
-    """The generic rule compares the canonical solutions of L_x y = 1 and
-    R_x y = 1.  For x = e0 + e2 they differ although y = e2 satisfies
-    x y = y x = 1, so x counts as not invertible.  The verdict depends on
-    the chosen basis; it is pinned here only so that refactors keep it."""
+def test_generic_rule_accepts_a_two_sided_inverse():
+    """For x = e0 + e2 the canonical solutions of L_x y = 1 and R_x y = 1
+    taken separately differ, although y = e2 satisfies x y = y x = 1.
+    The generic rule solves both systems at once, so x is invertible."""
     table = _generic_gf3_table()
     x = table.element([1, 0, 1])
     y = table.element([0, 0, 1])
     assert x * y == table.one() and y * x == table.one()
-    assert invert_element(x) is None
+    inverse = invert_element(x)
+    assert inverse is not None
+    assert x * inverse == table.one() and inverse * x == table.one()
     assert is_division_algebra(table) == "no"
+
+
+def _moved(coords, perm):
+    """Coordinates on the basis b'_perm[i] = b_i."""
+    out = [0] * len(coords)
+    for i, c in enumerate(coords):
+        out[perm[i]] = c
+    return out
+
+
+def _permuted_table(table, perm):
+    """The same algebra written on the basis b'_perm[i] = b_i."""
+    entries = {(perm[i], perm[j], perm[k]): c for i, j, k, c in table.sc_items()}
+    return AlgebraTable(table.field, table.dim, entries, unit=_moved(table.unit_coords(), perm))
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_generic_inverse_does_not_depend_on_the_basis(p):
+    field = prime_field(p)
+    rng = random.Random(p)
+    tables = [_generic_gf3_table()] if p == 3 else []
+    tables += [_random_unital_table(field, n, rng) for n in (3, 3, 4)]
+    for table in tables:
+        assert not check_identity(table, "commutative")
+        assert not check_identity(table, "associative")
+        perms = list(itertools.permutations(range(table.dim)))
+        for perm in [perms[-1]] + rng.sample(perms[1:-1], 3):
+            moved = _permuted_table(table, perm)
+            for tup in itertools.product(range(p), repeat=table.dim):
+                before = invert_element(table.element(tup))
+                after = invert_element(moved.element(_moved(tup, perm)))
+                assert (before is None) == (after is None), (perm, tup)

@@ -1,0 +1,260 @@
+"""The exhaustive searches against the plain algorithms they speed up.
+
+`div_search` takes one lean verdict per projective class of derivations
+and builds full reports only for classes that pass; it is compared,
+report field by report field, with a loop that runs the full
+`has_invertible_values` on every nonzero coefficient tuple.  The lean
+class test is compared with the full verdict class by class, and the
+work it does is counted: one lean test per class, one full report per
+hit, and a budget of enumerated points.  `ideal_closure`, which stops
+as soon as it reaches the whole algebra, is compared with a closure run
+to its fixpoint.
+"""
+
+import itertools
+import subprocess
+import sys
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from jordanalg import derivations
+from jordanalg.algebra import (
+    AlgebraTable,
+    _inversion_kind,
+    ideal_closure,
+    split_null_extension,
+)
+from jordanalg.constructions import diagonal_spin_factor, matrix_algebra
+from jordanalg.derivations import derivation_space, div_search, has_invertible_values
+from jordanalg.errors import CapExceeded
+from jordanalg.fields import prime_field
+from jordanalg.formats import write_algebra
+from jordanalg.linalg import Subspace
+
+F3, F5, F7 = prime_field(3), prime_field(5), prime_field(7)
+
+
+def _sorted_diags(p, nv):
+    return [d for d in itertools.product(range(p), repeat=nv) if list(d) == sorted(d)]
+
+
+def _gf9():
+    """GF(3)[t] / (t^2 - 2)."""
+    return AlgebraTable(F3, 2, {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1, (1, 1, 0): 2}, unit=[1, 0])
+
+
+def _generic_gf3():
+    """3-dim unital GF(3) table, neither commutative nor associative."""
+    entries = {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1, (0, 2, 2): 1, (2, 0, 2): 1}
+    entries.update({
+        (1, 1, 0): 2, (1, 1, 1): 1, (1, 1, 2): 2,
+        (1, 2, 0): 1, (1, 2, 1): 2, (1, 2, 2): 2,
+        (2, 1, 0): 2, (2, 1, 1): 2,
+        (2, 2, 0): 1, (2, 2, 2): 2,
+    })
+    return AlgebraTable(F3, 3, entries, unit=[1, 0, 0])
+
+
+def _search_tables():
+    tables = {}
+    for p, field, nvs in ((3, F3, (1, 2, 3)), (5, F5, (1, 2)), (7, F7, (1, 2))):
+        for nv in nvs:
+            for diag in _sorted_diags(p, nv):
+                if nv == 3 and not any(diag):
+                    continue  # 19,682 full reports in the reference loop
+                tables[f"spin-gf{p}-{diag}"] = diagonal_spin_factor(field, diag)
+    for field, diag in ((F5, (1, 2, 3)), (F5, (0, 1, 2)), (F7, (1, 2, 3)), (F7, (0, 1, 3))):
+        tables[f"spin-gf{field.p}-{diag}"] = diagonal_spin_factor(field, diag)
+    for diag in ((0,), (1,), (1, 0), (1, 1)):
+        for shift in (0, 2):
+            ext, _ = split_null_extension(diagonal_spin_factor(F3, diag), shift)
+            tables[f"ext-gf3-{diag}-shift{shift}"] = ext
+    tables["m2-gf3"] = matrix_algebra(AlgebraTable(F3, 1, {(0, 0, 0): 1}, unit=[1]), 2)
+    tables["gf9"] = _gf9()
+    tables["generic-gf3"] = _generic_gf3()
+    return tables
+
+
+SEARCH_TABLES = _search_tables()
+
+
+def _reference_div_search(table, point_cap=10**6):
+    """The full classifier on every nonzero tuple, in lexicographic order."""
+    space = derivation_space(table)
+    hits = []
+    for tup in itertools.product(range(table.field.p), repeat=space.dim):
+        if any(tup):
+            report = has_invertible_values(table, space.combination(tup), point_cap=point_cap)
+            if report.verdict == "div":
+                hits.append(report)
+    return hits
+
+
+def _fields(report):
+    return (
+        report.map, report.is_derivation, report.kernel, report.image,
+        report.verdict, report.witness, report.method, report.note,
+    )
+
+
+@pytest.mark.parametrize("name", sorted(SEARCH_TABLES))
+def test_div_search_matches_full_classifier_on_every_tuple(name):
+    table = SEARCH_TABLES[name]
+    expected = _reference_div_search(table)
+    assert [_fields(r) for r in div_search(table)] == [_fields(r) for r in expected]
+
+
+def test_search_tables_cover_hits_and_misses():
+    hits = {name: len(div_search(SEARCH_TABLES[name]))
+            for name in ("m2-gf3", "spin-gf7-(1, 2, 3)", "spin-gf5-(1, 1)", "ext-gf3-(1, 1)-shift0")}
+    assert hits["m2-gf3"] > 0 and hits["spin-gf7-(1, 2, 3)"] > 0
+    assert hits["spin-gf5-(1, 1)"] == 0 and hits["ext-gf3-(1, 1)-shift0"] == 0
+    assert derivation_space(SEARCH_TABLES["ext-gf3-(1, 0)-shift0"]).dim == 5
+
+
+@pytest.mark.parametrize("diag", [(1, 1, 1), (1, 1, 2)])
+def test_div_search_leaves_large_images_to_the_full_path(diag):
+    """Images of 4 points exceed a cap of 3, so no class is rejected by
+    the lean test and the full classifier decides every tuple."""
+    table = diagonal_spin_factor(F3, diag)
+    expected = _reference_div_search(table, point_cap=3)
+    assert [_fields(r) for r in div_search(table, point_cap=3)] == [_fields(r) for r in expected]
+
+
+def _classes(p, d):
+    """Coefficient tuples whose first nonzero entry is 1."""
+    return [t for t in itertools.product(range(p), repeat=d) if any(t) and next(c for c in t if c) == 1]
+
+
+@pytest.mark.parametrize("name", ["spin-gf3-(0, 1, 1)", "spin-gf3-(1, 1, 2)", "spin-gf5-(0, 1, 2)",
+                                  "spin-gf7-(1, 2, 3)", "ext-gf3-(1, 0)-shift2", "m2-gf3"])
+def test_lean_class_verdict_matches_full_verdict(name):
+    table = SEARCH_TABLES[name]
+    space = derivation_space(table)
+    kind = _inversion_kind(table)
+    for key in _classes(table.field.p, space.dim):
+        dmap = space.combination(key)
+        passes, used = derivations._class_may_pass(table, kind, dmap, 10**6, 10**6)
+        full = has_invertible_values(table, dmap)
+        assert passes == (full.verdict == "div"), key
+        assert 1 <= used <= (table.field.p ** full.image.dim - 1) // (table.field.p - 1)
+
+
+@pytest.mark.parametrize("name", ["spin-gf3-(1, 1, 1)", "spin-gf5-(0, 1, 2)", "spin-gf7-(1, 2, 3)",
+                                  "ext-gf3-(1, 1)-shift0", "m2-gf3"])
+def test_div_search_does_one_lean_test_per_class_and_one_report_per_hit(name, monkeypatch):
+    table = SEARCH_TABLES[name]
+    calls = {"lean": 0, "full": 0}
+    lean, full = derivations._class_may_pass, derivations.has_invertible_values
+
+    def counted_lean(*args):
+        calls["lean"] += 1
+        return lean(*args)
+
+    def counted_full(*args, **kwargs):
+        calls["full"] += 1
+        return full(*args, **kwargs)
+
+    monkeypatch.setattr(derivations, "_class_may_pass", counted_lean)
+    monkeypatch.setattr(derivations, "has_invertible_values", counted_full)
+    hits = div_search(table)
+    p, d = table.field.p, derivation_space(table).dim
+    assert calls["lean"] == (p**d - 1) // (p - 1)
+    assert calls["full"] == len(hits)
+
+
+# ---------------------------------------------------------------------------
+# the point budget
+
+
+@pytest.fixture(scope="module")
+def split_null_8():
+    """The 8-dim split-null extension of the GF(3) spin factor diag(1,0,1):
+    9-dim derivation space, 19,683 tuples, 9,841 classes."""
+    ext, _ = split_null_extension(diagonal_spin_factor(F3, [1, 0, 1]))
+    return ext
+
+
+def test_split_null_8_search_is_empty(split_null_8):
+    assert derivation_space(split_null_8).dim == 9
+    assert div_search(split_null_8) == []
+
+
+def test_point_budget_counts_the_whole_search(split_null_8):
+    """The lean tests of this table need one point for each of its 9,841
+    classes, so a cap of 1000 points runs out early in the search."""
+    with pytest.raises(CapExceeded, match="image points"):
+        div_search(split_null_8, point_cap=1000)
+
+
+def _run_cli(*argv):
+    return subprocess.run(
+        [sys.executable, "-m", "jordanalg.cli", *argv], capture_output=True, text=True
+    )
+
+
+def test_divsearch_cli_budget(tmp_path, split_null_8):
+    path = tmp_path / "ext8.alg"
+    path.write_text(write_algebra(split_null_8))
+    result = _run_cli("divsearch", str(path))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "0 DIV derivations\n"
+    # the 19,683 candidates of this table pass any cap its 9,841 points pass
+    result = _run_cli("divsearch", str(path), "--cap", "9841")
+    assert result.returncode == 3 and "CapExceeded" in result.stderr
+    # 27 tuples fit a cap of 30; the lean tests of GF(3) diag(1,1,1) need 44 points
+    spin = tmp_path / "spin111.alg"
+    spin.write_text(write_algebra(diagonal_spin_factor(F3, [1, 1, 1])))
+    result = _run_cli("divsearch", str(spin), "--cap", "30")
+    assert result.returncode == 3
+    assert "CapExceeded" in result.stderr and "image points" in result.stderr
+    assert _run_cli("divsearch", str(spin), "--cap", "44").returncode == 0
+
+
+# ---------------------------------------------------------------------------
+# ideal closures
+
+
+def _closure_to_fixpoint(table, space):
+    """Add every product with a basis element until nothing changes."""
+    f, n = table.field, table.dim
+    units = [[f.one() if i == j else f.zero() for i in range(n)] for j in range(n)]
+    current = space
+    while True:
+        products = [table.mul_coords(list(v), e) for v in current.basis for e in units]
+        products += [table.mul_coords(e, list(v)) for v in current.basis for e in units]
+        grown = Subspace(f, n, list(current.basis) + products)
+        if grown == current:
+            return current
+        current = grown
+
+
+@st.composite
+def closure_cases(draw):
+    """Random GF(3) tables and subspaces.  Besides dense tables there are
+    strictly triangular ones (b_i b_j in the span of the b_k with
+    k > max(i, j)) and chains (b_i b_j a multiple of b_(max(i, j) - 1)),
+    where a closure climbs through several rounds, one dimension at a
+    time in a chain, before it stops."""
+    n = draw(st.integers(1, 5))
+    shape = draw(st.sampled_from(["dense", "triangular", "chain"]))
+    cells = st.sampled_from([0, 0, 1, 2])
+    entries = {}
+    for i, j, k in itertools.product(range(n), repeat=3):
+        if (
+            shape == "dense"
+            or (shape == "triangular" and k > max(i, j))
+            or (shape == "chain" and k == max(i, j) - 1)
+        ):
+            entries[(i, j, k)] = draw(cells)
+    start = [[draw(st.integers(0, 2)) for _ in range(n)] for _ in range(draw(st.integers(1, 3)))]
+    return AlgebraTable(F3, n, entries), Subspace(F3, n, start)
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(closure_cases())
+def test_ideal_closure_matches_fixpoint(case):
+    table, space = case
+    assert ideal_closure(table, space) == _closure_to_fixpoint(table, space)
