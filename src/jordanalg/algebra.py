@@ -7,9 +7,8 @@ algebra as structure constants c[i][j][k] (the coefficient of basis
 vector k in the product b_i * b_j), kept sparse as nonzero rows.  The
 commutative / associative / Jordan identity checks run on an integer
 numpy image of the table so that 27-dimensional examples finish in
-seconds; every numpy path reduces exactly (mod p, or on denominator-
-cleared integers with an overflow guard and a Python-int fallback), so
-no check ever rounds.
+seconds; every product goes through `linalg._exact_matmul`, which picks
+a number path whose bound it checks, so no check ever rounds.
 """
 
 from __future__ import annotations
@@ -30,13 +29,15 @@ from .errors import (
     certify,
 )
 from .fields import Field, RawScalar
-from .linalg import Matrix, Subspace, _identity_raw, combine_raw, solve_raw
-
-# Magnitude bound for the int64 numpy engines.
-_INT64_LIMIT = 1 << 62
-# Integers below 2^53 are exact in float64, so a float64 product of
-# integer matrices is exact while every dot product stays below this.
-_FLOAT64_EXACT_LIMIT = 1 << 53
+from .linalg import (
+    Matrix,
+    Subspace,
+    _exact_matmul,
+    _identity_raw,
+    _int_image,
+    combine_raw,
+    solve_raw,
+)
 
 
 @dataclass(frozen=True)
@@ -223,37 +224,19 @@ class AlgebraTable:
 
     def structure_int_tensor(self) -> tuple[np.ndarray, int]:
         """The table as an integer numpy tensor C[i, j, k], with the
-        denominator scale that was multiplied in (1 over GF(p)).
-
-        GF(p) tables come back as residues; rational tables are cleared
-        to integers by the lcm of all denominators.  dtype is int64 when
-        the entries fit, otherwise object (exact Python ints).
-        """
+        denominator scale that was multiplied in (1 over GF(p)); see
+        `linalg._int_image`."""
         cached = self._cache.get("int_tensor")
         if cached is not None:
             return cached
         n = self.dim
-        if self.field.is_rational:
-            scale = math.lcm(*(v.denominator for pairs in self._rows.values() for _, v in pairs))
-            ints = {}
-            big = 0
-            for (i, j), pairs in self._rows.items():
-                for k, v in pairs:
-                    w = int(v * scale)
-                    ints[(i, j, k)] = w
-                    big = max(big, abs(w))
-            dtype = np.int64 if big < _INT64_LIMIT else object
-            c = np.zeros((n, n, n), dtype=dtype)
-            for (i, j, k), w in ints.items():
-                c[i, j, k] = w
-        else:
-            scale = 1
-            c = np.zeros((n, n, n), dtype=np.int64)
-            for (i, j), pairs in self._rows.items():
-                for k, v in pairs:
-                    c[i, j, k] = v
-        self._cache["int_tensor"] = (c, scale)
-        return c, scale
+        rows = [[self.field.zero()] * n for _ in range(n * n)]
+        for (i, j), pairs in self._rows.items():
+            for k, v in pairs:
+                rows[i * n + j][k] = v
+        c, scale = _int_image(self.field, rows)
+        self._cache["int_tensor"] = (c.reshape(n, n, n), scale)
+        return self._cache["int_tensor"]
 
 
 class Element:
@@ -464,48 +447,23 @@ def _check_commutative(table: AlgebraTable) -> bool:
     return True
 
 
-def _engine_params(table: AlgebraTable):
-    c, _ = table.structure_int_tensor()
-    p = None if table.field.is_rational else table.field.p
-    return c, p
-
-
 def _check_associative(table: AlgebraTable) -> bool:
-    c, p = _engine_params(table)
+    """(b_i b_j) b_k = b_i (b_j b_k) on all basis triples, compared
+    coordinate by coordinate for a block of i at a time."""
+    c, _ = table.structure_int_tensor()
+    p = table.field.p
     n = table.dim
-    if c.dtype == object:
-        cap = None
-    else:
-        big = int(np.abs(c).max()) if c.size else 0
-        if p is not None:
-            big = p - 1
-        if n * big * big >= _INT64_LIMIT:
-            c = c.astype(object)
-    chunk = max(1, min(n, (8 << 20) // max(1, 8 * n * n * n)))
+    flat = c.reshape(n * n, n)
+    chunk = max(1, (1 << 20) // max(1, n * n * n))
     for lo in range(0, n, chunk):
-        part = np.einsum("ijm,mkl->ijkl", c[lo : lo + chunk], c)
-        part = part - np.einsum("jkm,iml->ijkl", c, c[lo : lo + chunk])
-        if p is not None:
-            part = part % p
-        if np.any(part):
+        blk = c[lo : lo + chunk]
+        m = blk.shape[0]
+        left = _exact_matmul(blk.reshape(m * n, n), c.reshape(n, n * n), p).reshape(m, n, n, n)
+        # axes (j, k, i, l) of b_i (b_j b_k)
+        right = _exact_matmul(flat, blk.transpose(1, 0, 2).reshape(n, m * n), p).reshape(n, n, m, n)
+        if not np.array_equal(left, right.transpose(2, 0, 1, 3)):
             return False
     return True
-
-
-def _jordan_dtype(c: np.ndarray, p: int | None, n: int):
-    """dtype for the Jordan check's products.
-
-    float64 when every dot product of two residue vectors of length n
-    stays below 2^53, where float64 sums of integers are exact;
-    otherwise int64 when the unreduced six-term sum fits, else object.
-    """
-    if p is not None and n * (p - 1) ** 2 < _FLOAT64_EXACT_LIMIT:
-        return np.float64
-    if c.dtype == object:
-        return object
-    big = p - 1 if p is not None else (int(np.abs(c).max()) if c.size else 0)
-    # two chained contractions and a six-term sum over length-n axes
-    return np.int64 if 6 * n * n * big ** 3 < _INT64_LIMIT else object
 
 
 def _check_jordan(table: AlgebraTable) -> bool:
@@ -517,29 +475,22 @@ def _check_jordan(table: AlgebraTable) -> bool:
     (a, b, c), up to the factor -2, which is invertible in every
     supported field.  That operator sum is what gets evaluated here,
     from four matrix products per c.  Commutativity makes it symmetric
-    in (a, b, c), so only triples with a, b <= c are formed.  Over GF(p)
-    the products have entries in [0, n(p-1)^2], so a commutator (the
-    difference of two of them) stays inside the bound of `_jordan_dtype`;
-    each commutator is reduced mod p before the three are summed.
+    in (a, b, c), so only triples with a, b <= c are formed.  The sum
+    adds six products: over GF(p) each is reduced, over Q each is made
+    with room for all six.
     """
     if not check_identity(table, "commutative"):
         return False
-    c, p = _engine_params(table)
+    c, _ = table.structure_int_tensor()
+    p = table.field.p
     n = table.dim
-    c = c.astype(_jordan_dtype(c, p, n))
 
-    def reduced(x):
-        # float64 remainder is slow; residues come back as int64
-        if p is None:
-            return x
-        if x.dtype == np.float64:
-            x = x.astype(np.int64)
-        return x % p
+    def product(a, b):
+        return _exact_matmul(a, b, p, terms=6)
 
     t = c.transpose(0, 2, 1)  # t[i] is the left-multiplication matrix L_i
     # u[i, j] = L_{b_i b_j}
-    u = reduced(c.reshape(n * n, n) @ t.reshape(n, n * n)).astype(c.dtype, copy=False)
-    u = u.reshape(n, n, n, n)
+    u = _exact_matmul(c.reshape(n * n, n), t.reshape(n, n * n), p).reshape(n, n, n, n)
     for k in range(n):
         m = k + 1
         tk = t[k]
@@ -547,16 +498,18 @@ def _check_jordan(table: AlgebraTable) -> bool:
         us = u[:m, :m]
         v = u[:m, k]  # v[j] = L_{b_j b_k}
         # L_ij L_k, L_k L_ij, L_jk L_i and L_i L_jk for i, j <= k, each in the
-        # axis order its product leaves; the transposes give (i, j, a, c)
-        ij_k = (us.reshape(m * m * n, n) @ tk).reshape(m, m, n, n)
-        k_ij = (tk @ us.transpose(2, 0, 1, 3).reshape(n, m * m * n)).reshape(n, m, m, n)
-        jk_i = (v.reshape(m * n, n) @ ts.transpose(1, 0, 2).reshape(n, m * n)).reshape(m, n, m, n)
-        i_jk = (ts.reshape(m * n, n) @ v.transpose(1, 0, 2).reshape(n, m * n)).reshape(m, n, m, n)
+        # axis order its product leaves; the transposes give (i, j, a, c).
+        # The two products of a commutator share one dtype, so it is formed
+        # in place.
         # [L_{ij}, L_k]
-        term = reduced(ij_k - k_ij.transpose(1, 2, 0, 3))
+        term = product(us.reshape(m * m * n, n), tk).reshape(m, m, n, n)
+        term -= product(tk, us.transpose(2, 0, 1, 3).reshape(n, m * m * n)).reshape(n, m, m, n).transpose(1, 2, 0, 3)
         # w[i, j] = [L_{jk}, L_i]; its (i, j)-swap is [L_{ik}, L_j]
-        w = reduced(jk_i.transpose(2, 0, 1, 3) - i_jk.transpose(0, 2, 1, 3))
-        if np.any(reduced(term + w + w.transpose(1, 0, 2, 3))):
+        w = product(v.reshape(m * n, n), ts.transpose(1, 0, 2).reshape(n, m * n)).reshape(m, n, m, n).transpose(2, 0, 1, 3)
+        w -= product(ts.reshape(m * n, n), v.transpose(1, 0, 2).reshape(n, m * n)).reshape(m, n, m, n).transpose(0, 2, 1, 3)
+        total = term + w
+        total += w.transpose(1, 0, 2, 3)
+        if np.any(total % p if p else total):
             return False
     return True
 

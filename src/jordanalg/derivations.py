@@ -14,7 +14,6 @@ verdict with a re-verified witness whenever the answer is negative.
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
@@ -27,7 +26,6 @@ from .algebra import (
     Element,
     LinearMap,
     SplitNullMeta,
-    _INT64_LIMIT,
     _invert_coords,
     _inversion_kind,
     check_identity,
@@ -59,8 +57,9 @@ from .jordan import albert_norm, spin_norm
 from .linalg import (
     Matrix,
     Subspace,
+    _exact_matmul,
     _identity_raw,
-    _mod_dtype,
+    _int_image,
     _nullspace_mod_staged,
     combine_raw,
     diagonalize_symmetric_form,
@@ -73,34 +72,19 @@ from .linalg import (
 # the Leibniz rule
 
 
-def _int_matrix(field, rows) -> tuple[np.ndarray, int]:
-    """Rows as an integer array plus the denominator scale cleared out."""
-    if field.is_rational:
-        scale = math.lcm(*(v.denominator for row in rows for v in row))
-        ints = [[int(v * scale) for v in row] for row in rows]
-        big = max((abs(x) for r in ints for x in r), default=0)
-        dtype = np.int64 if big < _INT64_LIMIT else object
-        return np.array(ints, dtype=dtype), scale
-    return np.array([[int(v) for v in row] for row in rows], dtype=np.int64), 1
-
-
 def _leibniz_defect(table: AlgebraTable, dmap: LinearMap) -> np.ndarray:
     """Integer tensor T[i,j,k]: coordinate k of D(bi bj) - D(bi)bj - bi D(bj),
-    up to one overall positive scale factor."""
+    up to one overall positive scale factor, and over GF(p) up to
+    multiples of p."""
     c, _ = table.structure_int_tensor()
-    d, _ = _int_matrix(table.field, dmap.matrix.rows)
+    d, _ = _int_image(table.field, dmap.matrix.rows)
     n = table.dim
-    if (
-        c.dtype == object
-        or d.dtype == object
-        or 3 * n * int(np.abs(c).max()) * int(np.abs(d).max()) >= _INT64_LIMIT
-    ):
-        c = c.astype(object)
-        d = d.astype(object)
-    lhs = np.einsum("km,ijm->ijk", d, c)
-    r1 = np.einsum("li,ljk->ijk", d, c)
-    r2 = np.einsum("lj,ilk->ijk", d, c)
-    return lhs - r1 - r2
+    p = table.field.p
+    lhs = _exact_matmul(c.reshape(n * n, n), d.T, p, terms=3)
+    r1 = _exact_matmul(d.T, c.reshape(n, n * n), p, terms=3)
+    # axes (j, i, k) of bi D(bj)
+    r2 = _exact_matmul(d.T, c.transpose(1, 0, 2).reshape(n, n * n), p, terms=3)
+    return lhs.reshape(n, n, n) - r1.reshape(n, n, n) - r2.reshape(n, n, n).transpose(1, 0, 2)
 
 
 def is_derivation(table: AlgebraTable, dmap: LinearMap) -> bool:
@@ -154,8 +138,8 @@ def derivation_space(table: AlgebraTable) -> DerivationSpace:
         pairs = [(i, j) for i in range(n) for j in range(i, n)]
     else:
         pairs = [(i, j) for i in range(n) for j in range(n)]
-    dtype = c.dtype if f.is_rational else _mod_dtype(f.p)
-    system = np.zeros((len(pairs), n, n, n), dtype=dtype)
+    # entries are sums of three entries of c, which its dtype leaves room for
+    system = np.zeros((len(pairs), n, n, n), dtype=c.dtype)
     diag = np.arange(n)
     for t, (i, j) in enumerate(pairs):
         blk = system[t]

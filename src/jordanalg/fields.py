@@ -179,19 +179,14 @@ class Field:
     # text form
 
     def parse_raw(self, text: str) -> RawScalar:
+        """Parse an integer or a fraction a/b and coerce it into the field."""
         text = text.strip()
         if not text:
             raise ParseError("empty scalar")
+        num, slash, den = text.partition("/")
         try:
-            if self.kind == "Q":
-                if "/" in text:
-                    num, den = text.split("/", 1)
-                    value = Fraction(int(num), int(den))
-                else:
-                    value = Fraction(int(text))
-                return value
-            return int(text) % self.p
-        except (ValueError, ZeroDivisionError) as exc:
+            return self.coerce(Fraction(int(num), int(den)) if slash else int(num))
+        except (ValueError, ZeroDivisionError, DivisionByZero) as exc:
             raise ParseError(f"bad scalar {text!r} for {self}: {exc}") from exc
 
     def format_raw(self, a: RawScalar) -> str:

@@ -5,10 +5,19 @@ Everything here is exact.  Row reduction has two kernels:
 * `_rref_mod_py`, on Python lists: Fractions over Q (``p=None``) or
   Python ints over GF(p).  It serves every rational system and every
   GF(p) system of at most `_NP_THRESHOLD` cells.
-* `_rref_mod_np`, on numpy arrays over GF(p), for every prime.  The
-  array dtype is the one `_mod_dtype` picks: int64 when p < 2^31, where
-  an outer-product update ((p-1)^2 plus one subtraction) cannot
-  overflow, and object dtype (exact Python ints) otherwise.
+* `_rref_mod_np`, on numpy arrays over GF(p), for every prime.
+
+This module is the only one that picks a numpy dtype.  Integer arrays
+are stored in the dtype `_int_dtype` picks from their largest entry:
+int64 below 2^31, where the row-reduction update (the product of two
+entries plus one subtraction) cannot overflow, and object dtype (exact
+Python ints) otherwise.  `_int_image` turns raw rows into such an array:
+residues over GF(p), denominator-cleared integers over Q.  Every product
+of integer arrays goes through `_exact_matmul`, which takes one of three
+number paths from a bound it checks before multiplying: float64 (BLAS)
+while every dot product stays below 2^53, int64 below 2^63, object dtype
+beyond.  Over GF(p) the bound follows from p alone; over Q it comes from
+a scan of the inputs.
 
 Tall GF(p) nullspaces run through `_nullspace_mod_staged` on the numpy
 kernel.  Large rational nullspaces are computed modulo several primes
@@ -66,20 +75,83 @@ _CRT_PRIMES = _primes_below_2_20(_CRT_PRIME_COUNT)
 
 
 # ---------------------------------------------------------------------------
-# row reduction kernels
+# integer images and exact products
+
+# Integers of absolute value below 2^53 are exact in float64.
+_FLOAT64_EXACT = 1 << 53
+_INT64_EXACT = 1 << 63
 
 
-def _mod_dtype(p: int):
-    """numpy dtype for residues mod p: int64 while an outer-product update,
-    (p-1)^2 plus one subtraction, stays inside int64; object otherwise."""
-    return np.int64 if p < (1 << 31) else object
+def _int_dtype(big: int):
+    """Storage dtype for integers of absolute value at most `big`: int64
+    while the product of two of them plus one subtraction stays inside
+    int64, object (exact Python ints) otherwise."""
+    return np.int64 if big < (1 << 31) else object
 
 
 def _residues(a, p: int) -> np.ndarray:
-    """A fresh array of the residues of `a` mod p, in `_mod_dtype(p)`."""
-    dtype = _mod_dtype(p)
+    """A fresh array of the residues of `a` mod p, in `_int_dtype(p - 1)`."""
+    dtype = _int_dtype(p - 1)
     a = np.asarray(a, dtype=object if dtype is object else None)
     return np.ascontiguousarray(a % p, dtype=dtype)
+
+
+def _int_image(field: Field, rows: Sequence[Sequence[RawScalar]]) -> tuple[np.ndarray, int]:
+    """Raw rows as an integer array, with the scale multiplied in: the
+    residues and 1 over GF(p); over Q the entries times the lcm of all
+    their denominators, and that lcm."""
+    p = field.p
+    if p:
+        return _residues(rows, p), 1
+    scale = math.lcm(*(v.denominator for row in rows for v in row))
+    ints = [[v.numerator * (scale // v.denominator) for v in row] for row in rows]
+    big = max((abs(x) for row in ints for x in row), default=0)
+    return np.array(ints, dtype=_int_dtype(big)), scale
+
+
+def _product_dtype(inner: int, big_a: int, big_b: int, terms: int = 1):
+    """The number path of exact integer matrix products.
+
+    A sum of `terms` products with inner dimension `inner` and entries of
+    absolute value at most big_a and big_b has every partial sum at most
+    terms * inner * big_a * big_b in absolute value: float64 is exact
+    while that bound is below 2^53, int64 while it is below 2^63.  A zero
+    factor counts as 1, so that every entry converts exactly.
+    """
+    bound = terms * max(inner, 1) * max(big_a, 1) * max(big_b, 1)
+    if bound < _FLOAT64_EXACT:
+        return np.float64
+    return np.int64 if bound < _INT64_EXACT else object
+
+
+def _magnitude(a: np.ndarray, p: int | None) -> int:
+    """Largest absolute entry of `a`: p - 1 for residues, else a scan."""
+    if p:
+        return p - 1
+    return int(np.abs(a).max()) if a.size else 0
+
+
+def _exact_matmul(a: np.ndarray, b: np.ndarray, p: int | None = None, terms: int = 1) -> np.ndarray:
+    """Exact a @ b of integer arrays: residues mod p (reduced on return),
+    or arbitrary integers when p is None.
+
+    The number path is `_product_dtype`'s; a float64 product comes back
+    as int64.  Over Q the result dtype also holds the sum of `terms`
+    results of calls that pass the same `terms`, since the largest of
+    them was given room for all; over GF(p) the results are residues, and
+    int64 ones are below 2^32, so a sum of a few stays far inside int64.
+    """
+    dtype = _product_dtype(a.shape[-1], _magnitude(a, p), _magnitude(b, p), 1 if p else terms)
+    out = a.astype(dtype, copy=False) @ b.astype(dtype, copy=False)
+    if dtype is np.float64:
+        out = out.astype(np.int64)
+    if p:
+        out %= p
+    return out
+
+
+# ---------------------------------------------------------------------------
+# row reduction kernels
 
 
 def _rref_mod_py(rows: list[list], p: int | None) -> tuple[list[list], int, list[int]]:
@@ -119,7 +191,7 @@ def _rref_mod_py(rows: list[list], p: int | None) -> tuple[list[list], int, list
 
 
 def _rref_mod_np(a, p: int) -> tuple[np.ndarray, int, list[int]]:
-    """Reduced row echelon form over GF(p) of a copy of `a`, in `_mod_dtype(p)`."""
+    """Reduced row echelon form over GF(p) of a copy of `a`, as residues."""
     a = _residues(a, p)
     nrows, ncols = a.shape
     pivots: list[int] = []
@@ -194,7 +266,8 @@ def nullspace_raw(field: Field, rows: Sequence[Sequence[RawScalar]], ncols: int)
         return [list(row) for row in _identity_raw(field, ncols)]
     if field.is_rational:
         if nrows * ncols * min(nrows, ncols) > _CRT_THRESHOLD:
-            return nullspace_int_crt(_integerize_rows(rows), ncols)
+            # each row is scaled on its own, which leaves the nullspace unchanged
+            return nullspace_int_crt(np.vstack([_int_image(field, [row])[0] for row in rows]), ncols)
     elif nrows * ncols > _NP_THRESHOLD:
         return _nullspace_mod_staged([list(r) for r in rows], field.p).tolist()
     return _nullspace_exact(field, [list(r) for r in rows], ncols)
@@ -252,33 +325,17 @@ def _identity_raw(field: Field, n: int):
 # staged modular nullspace (big GF(p) systems)
 
 
-def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Exact (a @ b) % p; int64 products are summed in blocks that cannot
-    overflow, object arrays in one product."""
-    inner = a.shape[1]
-    if inner == 0:
-        return np.zeros((a.shape[0], b.shape[1]), dtype=_mod_dtype(p))
-    if _mod_dtype(p) is object:
-        return (a @ b) % p
-    block = max(1, (1 << 62) // max((p - 1) * (p - 1), 1))
-    if block >= inner:
-        return (a @ b) % p
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-    for lo in range(0, inner, block):
-        out = (out + a[:, lo : lo + block] @ b[lo : lo + block]) % p
-    return out
-
-
 def _nullspace_mod_staged(m, p: int, chunk: int = 3000) -> np.ndarray:
     """Canonical nullspace basis over GF(p) of a tall matrix (array or rows).
 
     Rows are consumed in chunks; after each chunk the candidate space is
     cut down by the chunk's constraints expressed in the current basis,
-    so the expensive full-width elimination happens only once.  Repeated
-    rows are kept: they do not change the nullspace.
+    so the expensive full-width elimination happens only once.  Zero and
+    repeated rows are kept: they do not change the nullspace, and a
+    filtered copy of a system as tall as the Leibniz system of a 27-dim
+    table would cost tens of megabytes at the peak.
     """
     m = _residues(m, p)
-    m = m[np.any(m, axis=1)]
     ncols = m.shape[1]
     basis: np.ndarray | None = None
     for lo in range(0, m.shape[0], chunk):
@@ -286,14 +343,14 @@ def _nullspace_mod_staged(m, p: int, chunk: int = 3000) -> np.ndarray:
         if basis is not None:
             if basis.shape[0] == 0:
                 return basis
-            blk = matmul_mod(blk, basis.T, p)
+            blk = _exact_matmul(blk, basis.T, p)
         width = blk.shape[1]
         red, rank, piv = _rref_mod_np(blk, p)
         ns = _nullspace_standard_basis(red[:rank].tolist(), piv, width, p)
-        ns = np.array(ns, dtype=_mod_dtype(p)).reshape(-1, width)
-        basis = ns if basis is None else matmul_mod(ns, basis, p)
+        ns = np.array(ns, dtype=_int_dtype(p - 1)).reshape(-1, width)
+        basis = ns if basis is None else _exact_matmul(ns, basis, p)
     if basis is None:
-        basis = np.eye(ncols, dtype=_mod_dtype(p))
+        basis = np.eye(ncols, dtype=_int_dtype(p - 1))
     if basis.shape[0]:
         basis, _, _ = _rref_mod_np(basis, p)
         basis = basis[np.any(basis, axis=1)]
@@ -302,18 +359,6 @@ def _nullspace_mod_staged(m, p: int, chunk: int = 3000) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # rational nullspace through modular reconstruction
-
-
-def _integerize_rows(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
-    out = []
-    for row in rows:
-        den = math.lcm(*(x.denominator for x in row))
-        ints = [int(x * den) for x in row]
-        g = math.gcd(*ints)
-        if g > 1:
-            ints = [v // g for v in ints]
-        out.append(ints)
-    return out
 
 
 def _rat_reconstruct(r: int, m: int) -> Fraction | None:
@@ -337,10 +382,11 @@ def _rat_reconstruct(r: int, m: int) -> Fraction | None:
     return Fraction(n, d)
 
 
-def _crt_pair(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int]:
-    inv = pow(m1, -1, m2)
-    x = (r1 + (r2 - r1) * inv % m2 * m1) % (m1 * m2)
-    return x, m1 * m2
+def _crt_fold(r: np.ndarray, m: int, residues: np.ndarray, p: int) -> tuple[np.ndarray, int]:
+    """One Garner step: the residues mod m*p (object dtype, in [0, m*p))
+    that are r mod m and `residues` mod p."""
+    t = (residues.astype(object) - r) * pow(m, -1, p) % p
+    return r + t * m, m * p
 
 
 def nullspace_int_crt(int_rows, ncols: int) -> list[list[Fraction]]:
@@ -366,39 +412,33 @@ def nullspace_int_crt(int_rows, ncols: int) -> list[list[Fraction]]:
         if nz.size:
             sparse.append([(int(j), int(row[j])) for j in nz])
 
-    collected: dict[tuple, list[tuple[int, np.ndarray]]] = {}
+    # one running (residues, modulus) pair per pivot signature, each new
+    # prime folded in once
+    combined: dict[tuple, tuple[np.ndarray, int]] = {}
     for p in _CRT_PRIMES:
         basis = _nullspace_mod_staged(int_rows, p)
         # pivot signature of the canonical nullspace basis
         pivcols = tuple(int(np.nonzero(row)[0][0]) for row in basis)
         key = (basis.shape[0], pivcols)
-        collected.setdefault(key, []).append((p, basis))
-        candidate = _try_reconstruct(collected, sparse, ncols)
+        if key in combined:
+            combined[key] = _crt_fold(*combined[key], basis, p)
+        else:
+            combined[key] = (basis.astype(object), p)
+        candidate = _try_reconstruct(combined, sparse, ncols)
         if candidate is not None:
             return candidate
     frac_rows = [[Fraction(v) for v in row] for row in int_rows.tolist()]
     return _nullspace_exact(RATIONALS, frac_rows, ncols)
 
 
-def _try_reconstruct(collected, sparse, ncols):
+def _try_reconstruct(combined, sparse, ncols):
     # prefer the signature with the smallest nullity (largest rank bound),
     # breaking ties toward the lexicographically smallest pivot tuple
-    key = min(collected, key=lambda k: (k[0], k[1]))
-    group = collected[key]
+    key = min(combined)
     nullity = key[0]
     if nullity == 0:
         return []
-    residues = [b for _, b in group]
-    moduli = [p for p, _ in group]
-    r, m = residues[0].astype(object), moduli[0]
-    for rr, pp in zip(residues[1:], moduli[1:]):
-        flat_r = r.reshape(-1)
-        flat_n = rr.reshape(-1)
-        combined = np.empty(flat_r.shape[0], dtype=object)
-        for i in range(flat_r.shape[0]):
-            combined[i], _ = _crt_pair(int(flat_r[i]), m, int(flat_n[i]), pp)
-        r = combined.reshape(r.shape)
-        m = m * pp
+    r, m = combined[key]
     rows = []
     for i in range(r.shape[0]):
         row = []

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from jordanalg import linalg
 from jordanalg.algebra import (
     AlgebraTable,
     Element,
@@ -21,11 +22,8 @@ from jordanalg.algebra import (
     is_ideal,
     quotient_algebra,
     split_null_extension,
-    _FLOAT64_EXACT_LIMIT,
-    _engine_params,
-    _jordan_dtype,
 )
-from jordanalg.constructions import albert_type, matrix_algebra, plus_algebra
+from jordanalg.constructions import albert_type, diagonal_spin_factor, matrix_algebra, plus_algebra
 from jordanalg.errors import (
     AlgebraMismatch,
     BadParameters,
@@ -33,7 +31,7 @@ from jordanalg.errors import (
     NotUnital,
 )
 from jordanalg.fields import RATIONALS, is_prime, prime_field
-from jordanalg.linalg import Subspace
+from jordanalg.linalg import Subspace, _product_dtype
 
 
 def m2_table(field):
@@ -191,12 +189,24 @@ def test_jordan_identity_exhaustive_small_gf3():
 
 
 # ---------------------------------------------------------------------------
-# the Jordan check on each of its number paths, with negative controls
+# the identity checks on each number path of `linalg._exact_matmul`, with
+# negative controls
 
 
-def _jordan_path(table):
-    c, p = _engine_params(table)
-    return _jordan_dtype(c, p, table.dim)
+def _checked_paths(monkeypatch, table, which):
+    """The verdict of one identity check and the set of number paths its
+    products took."""
+    paths = set()
+    real = linalg._product_dtype
+
+    def spy(*args):
+        paths.add(real(*args))
+        return real(*args)
+
+    monkeypatch.setattr(linalg, "_product_dtype", spy)
+    verdict = check_identity(table, which)
+    monkeypatch.setattr(linalg, "_product_dtype", real)
+    return verdict, paths
 
 
 def _perturbed(table, i, j, k):
@@ -214,10 +224,23 @@ def _plus_matrices(field, n):
     return plus_algebra(matrix_algebra(scalars, n))
 
 
+def _float_path_top(n):
+    """The least b with n * b^2 >= 2^53: products of inner dimension n
+    with entries up to b leave the float64 path there."""
+    return math.isqrt(((1 << 53) - 1) // n) + 1
+
+
 def _largest_prime_on_float_path(n):
-    p = math.isqrt((_FLOAT64_EXACT_LIMIT - 1) // n) + 1
+    p = _float_path_top(n)
     while not is_prime(p):
         p -= 1
+    return p
+
+
+def _smallest_prime_off_float_path(n):
+    p = _float_path_top(n) + 1
+    while not is_prime(p):
+        p += 1
     return p
 
 
@@ -283,43 +306,60 @@ def test_jordan_check_matches_reference(field, values):
 
 
 def test_jordan_float_path_bound_is_strict():
-    c = np.zeros((27, 27, 27), dtype=np.int64)
-    top = math.isqrt((_FLOAT64_EXACT_LIMIT - 1) // 27) + 1
-    assert 27 * (top - 1) ** 2 < _FLOAT64_EXACT_LIMIT <= 27 * top ** 2
-    assert _jordan_dtype(c, top, 27) is np.float64
-    assert _jordan_dtype(c, top + 1, 27) is object
-    assert _jordan_dtype(c, None, 27) is np.int64
+    top = _float_path_top(27)
+    assert 27 * (top - 1) ** 2 < 1 << 53 <= 27 * top ** 2
+    assert _product_dtype(27, top - 1, top - 1) is np.float64
+    assert _product_dtype(27, top, top) is np.int64
+    # GF(65537) at inner dimension 2^21 lands exactly on 2^53
+    assert 2**21 * 65536**2 == 1 << 53
+    assert _product_dtype(2**21 - 1, 65536, 65536) is np.float64
+    assert _product_dtype(2**21, 65536, 65536) is np.int64
+    assert _product_dtype(27, 0, 0) is np.float64
 
 
-@pytest.mark.parametrize(
-    "field, path",
-    [
-        (prime_field(7), np.float64),
-        (prime_field(_largest_prime_on_float_path(9)), np.float64),
-        (RATIONALS, np.int64),
-        (prime_field(2**31 - 1), object),
-    ],
-    ids=["GF7-float64", "GF-bound-float64", "Q-int64", "GF(2^31-1)-object"],
-)
-def test_jordan_check_paths_on_plus_m3(field, path):
-    t = _plus_matrices(field, 3)
-    assert _jordan_path(t) is path
-    assert check_identity(t, "jordan")
+PATH_FIELDS = {
+    "GF7-float64": (lambda n: prime_field(7), np.float64),
+    "GF-bound-float64": (lambda n: prime_field(_largest_prime_on_float_path(n)), np.float64),
+    "GF-past-bound-int64": (lambda n: prime_field(_smallest_prime_off_float_path(n)), np.int64),
+    "Q-float64": (lambda n: RATIONALS, np.float64),
+    "GF(2^31-1)-object": (lambda n: prime_field(2**31 - 1), object),
+}
+
+
+@pytest.mark.parametrize("case", list(PATH_FIELDS))
+def test_jordan_check_paths_on_plus_m3(monkeypatch, case):
+    field_of, path = PATH_FIELDS[case]
+    t = _plus_matrices(field_of(9), 3)
+    assert t.dim == 9
+    assert _checked_paths(monkeypatch, t, "jordan") == (True, {path})
     bad = _perturbed(t, 1, 3, 0)
-    assert _jordan_path(bad) is path
     assert check_identity(bad, "commutative")
-    assert not check_identity(bad, "jordan")
+    assert _checked_paths(monkeypatch, bad, "jordan") == (False, {path})
+
+
+@pytest.mark.parametrize("case", list(PATH_FIELDS))
+def test_associative_check_paths_on_m2(monkeypatch, case):
+    field_of, path = PATH_FIELDS[case]
+    t = m2_table(field_of(4))
+    assert _checked_paths(monkeypatch, t, "associative") == (True, {path})
+    bad = _perturbed(t, 0, 1, 1)
+    assert _checked_paths(monkeypatch, bad, "associative") == (False, {path})
 
 
 @pytest.mark.parametrize(
-    "field, path", [(prime_field(7), np.float64), (RATIONALS, np.int64)], ids=["GF7", "Q"]
+    "field, path", [(prime_field(7), np.float64), (RATIONALS, np.float64)], ids=["GF7", "Q"]
 )
-def test_jordan_check_rejects_perturbed_albert(field, path):
+def test_jordan_check_rejects_perturbed_albert(monkeypatch, field, path):
     t = albert_type(field, [1, 2, 3], [1, 2, 3])
     bad = _perturbed(t, 1, 2, 0)
-    assert _jordan_path(bad) is path
     assert check_identity(bad, "commutative")
-    assert not check_identity(bad, "jordan")
+    assert _checked_paths(monkeypatch, bad, "jordan") == (False, {path})
+
+
+def test_identity_checks_past_int64():
+    t = diagonal_spin_factor(prime_field(2**64 + 13), [1, -1, 2])
+    verdicts = [check_identity(t, which) for which in ("commutative", "associative", "jordan")]
+    assert verdicts == [True, False, True]
 
 
 def test_associator():

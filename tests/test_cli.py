@@ -120,7 +120,7 @@ def test_derivations_dimension(workdir):
     assert result.stdout.splitlines()[0] == "derivation space dimension 1"
 
 
-@pytest.mark.parametrize("p", [2**31 + 11, 2**33 + 17, 2**62 + 135])
+@pytest.mark.parametrize("p", [2**31 + 11, 2**33 + 17, 2**62 + 135, 2**64 + 13])
 def test_derivations_for_large_primes(tmp_path, p):
     path = tmp_path / "spin.alg"
     built = run_cli("build", "spin", "--field", f"GF:{p}", "--diag", "1,1,1", "-o", str(path))
@@ -233,6 +233,19 @@ def test_spincriterion_both_verdicts():
 
 # ---------------------------------------------------------------------------
 # exit codes
+
+
+def test_invert_takes_fractional_coordinates_over_gf(workdir):
+    # 1/3 = 2 in GF(5)
+    fractional = run_cli("invert", str(workdir / "spin5.alg"), "1/3,1,0")
+    integral = run_cli("invert", str(workdir / "spin5.alg"), "2,1,0")
+    assert fractional.returncode == integral.returncode == 0
+    assert fractional.stdout == integral.stdout
+    assert fractional.stdout.startswith("invertible: ")
+    vanishing = run_cli("invert", str(workdir / "spin5.alg"), "1/5,1,0")
+    assert vanishing.returncode == 2
+    assert "error: bad scalar '1/5' for GF(5)" in vanishing.stderr
+    assert "Traceback" not in vanishing.stderr
 
 
 def test_parse_failure_exits_2(tmp_path):

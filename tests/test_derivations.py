@@ -132,8 +132,8 @@ def test_derivation_basis_maps_are_derivations_and_kill_unit():
 
 
 # primes on both sides of 2^31, where the staged int64 elimination stops
-# being safe, and far beyond it
-LARGE_PRIMES = (2**31 - 1, 2**31 + 11, 2**33 + 17, 2**62 + 135)
+# being safe, far beyond it, and past int64 itself
+LARGE_PRIMES = (2**31 - 1, 2**31 + 11, 2**33 + 17, 2**62 + 135, 2**64 + 13)
 
 
 @pytest.mark.parametrize("p", LARGE_PRIMES)

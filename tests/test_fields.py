@@ -38,6 +38,23 @@ def test_parse_field():
             parse_field(bad)
 
 
+def test_parse_reads_fractions_like_coerce_on_both_kinds():
+    rng = random.Random(20_261_018)
+    for f in (prime_field(5), prime_field(2**64 + 13), RATIONALS):
+        for _ in range(50):
+            num, den = rng.randrange(-40, 40), rng.randrange(1, 40)
+            if f.p and den % f.p == 0:
+                continue
+            assert f.parse_raw(f"{num}/{den}") == f.coerce(Fraction(num, den))
+            assert f.parse_raw(f" {num} ") == f.coerce(num)
+    assert prime_field(5).parse_raw("1/3") == prime_field(5).coerce(Fraction(1, 3)) == 2
+    assert prime_field(5).parse_raw("-7/2") == 4
+    for text in ("1/5", "2/10", "3/-5", "1/0", "1/", "/3", "1/x"):
+        with pytest.raises(ParseError):
+            prime_field(5).parse_raw(text)
+    assert RATIONALS.parse_raw("2/10") == Fraction(1, 5)
+
+
 def test_scalar_arithmetic_gf():
     f = prime_field(7)
     a = f(3)

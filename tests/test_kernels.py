@@ -192,6 +192,29 @@ def test_crt_nullspace_falls_back_to_exact_elimination(monkeypatch):
     assert nullspace_int_crt(np.array(rows, dtype=object), 3) == basis
 
 
+def test_crt_folds_each_prime_once(monkeypatch):
+    # the primes cannot certify this system, so every prime is tried
+    folds, systems = [], []
+    real_fold, real_crt = linalg._crt_fold, derivations.nullspace_int_crt
+
+    def fold(r, m, residues, p):
+        folds.append(p)
+        return real_fold(r, m, residues, p)
+
+    def crt(int_rows, ncols):
+        systems.append((int_rows, ncols))
+        return real_crt(int_rows, ncols)
+
+    monkeypatch.setattr(linalg, "_crt_fold", fold)
+    monkeypatch.setattr(derivations, "nullspace_int_crt", crt)
+    space = derivation_space(diagonal_spin_factor(RATIONALS, [3**200, 1, 1]))
+    assert folds == list(linalg._CRT_PRIMES[1:])
+    (int_rows, ncols), = systems
+    frac_rows = [[Fraction(v) for v in row] for row in int_rows.tolist()]
+    exact = linalg._nullspace_exact(RATIONALS, frac_rows, ncols)
+    assert [sum(m.matrix.rows, ()) for m in space.basis] == [tuple(row) for row in exact]
+
+
 def test_derivation_space_with_entries_past_the_crt_primes():
     table = diagonal_spin_factor(RATIONALS, [3**200, 1, 1])
     space = derivation_space(table)

@@ -4,10 +4,12 @@ from fractions import Fraction
 import pytest
 
 from jordanalg.errors import AmbientMismatch, NotSymmetric
-from jordanalg.fields import RATIONALS, prime_field
+from jordanalg.fields import RATIONALS, is_prime, prime_field
 from jordanalg.linalg import (
     Matrix,
     Subspace,
+    _exact_matmul,
+    _product_dtype,
     _nullspace_mod_staged,
     _rref_mod_np,
     _rref_mod_py,
@@ -250,3 +252,93 @@ def test_degenerate_form_keeps_radical_as_zero_entries():
     diag = [d_mat.rows[i][i] for i in range(3)]
     assert diag.count(0) == 2
     assert p_mat.rank() == 3
+
+
+# ---------------------------------------------------------------------------
+# the exact product helper against Python-int products
+
+
+def _python_product(a, b, p=None):
+    out = [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+    return [[v % p for v in row] for row in out] if p else out
+
+
+def _array(rows):
+    # object dtype keeps entries past int64 exact; the helper casts
+    return np.array(rows, dtype=object)
+
+
+# inner dimension 27: the primes next to the float64 edge
+# (27 (p-1)^2 < 2^53 iff p <= 18_264_720), the largest prime on the int64
+# path (27 (p-1)^2 < 2^63 iff p <= 584_471_019) and primes on the object
+# path below and past int64
+GF_EDGE_CASES = [
+    (18_264_707, np.float64),
+    (18_264_767, np.int64),
+    (584_471_011, np.int64),
+    (2**31 - 1, object),
+    (2**64 + 13, object),
+]
+
+
+@pytest.mark.parametrize("p, path", GF_EDGE_CASES, ids=[str(p) for p, _ in GF_EDGE_CASES])
+def test_exact_matmul_over_gf_at_each_edge(p, path):
+    assert is_prime(p)
+    assert _product_dtype(27, p - 1, p - 1) is path
+    rng = random.Random(p)
+    # the largest residue fills the first row and column, so the largest
+    # dot product is reached
+    a = [[p - 1] * 27] + [[rng.randrange(p) for _ in range(27)] for _ in range(4)]
+    b = [[p - 1] + [rng.randrange(p) for _ in range(5)] for _ in range(27)]
+    got = _exact_matmul(_array(a), _array(b), p)
+    assert got.tolist() == _python_product(a, b, p)
+    assert got.tolist()[0][0] == 27 * (p - 1) ** 2 % p
+
+
+# integer entries of absolute value at most `big`, inner dimension 27
+Z_EDGE_CASES = [
+    (18_264_719, np.float64),
+    (18_264_720, np.int64),
+    (584_471_018, np.int64),
+    (584_471_019, object),
+    (3**60, object),
+]
+
+
+@pytest.mark.parametrize("big, path", Z_EDGE_CASES, ids=[str(b) for b, _ in Z_EDGE_CASES])
+def test_exact_matmul_over_integers_at_each_edge(big, path):
+    assert _product_dtype(27, big, big) is path
+    rng = random.Random(big)
+    a = [[-big] * 27] + [[rng.randint(-big, big) for _ in range(27)] for _ in range(4)]
+    b = [[big] + [rng.randint(-big, big) for _ in range(5)] for _ in range(27)]
+    b[0][1] = -big
+    got = _exact_matmul(_array(a), _array(b))
+    assert got.tolist() == _python_product(a, b)
+    assert got.tolist()[0][0] == -27 * big * big
+
+
+def test_exact_matmul_leaves_room_for_summed_terms():
+    # each product fits int64, three of them summed do not
+    big = 2**29
+    assert _product_dtype(27, big, big) is np.int64
+    assert _product_dtype(27, big, big, terms=3) is object
+    a = [[big] * 27]
+    b = [[big] for _ in range(27)]
+    total = sum(_exact_matmul(_array(a), _array(b), terms=3) for _ in range(3))
+    assert total.tolist() == [[3 * 27 * big * big]]
+    # over GF(p) results come back reduced, so `terms` does not shrink a path
+    p = 18_264_707
+    assert _exact_matmul(_array(a), _array(b), p, terms=6).dtype == np.int64
+
+
+def test_int64_path_edge_is_strict():
+    assert _product_dtype(1, 2**63 - 1, 1) is np.int64
+    assert _product_dtype(2, 2**31, 2**31) is object
+    assert _product_dtype(2, 2**31, 2**31 - 1) is np.int64
+
+
+def test_exact_matmul_by_zeros_keeps_huge_entries_exact():
+    huge = _array([[3**700, -(3**700)]])
+    zeros = _array([[0], [0]])
+    assert _product_dtype(2, 3**700, 0) is object
+    assert _exact_matmul(huge, zeros).tolist() == [[0]]

@@ -8,7 +8,8 @@ arithmetic reduced once at the end, over GF(3), GF(2^61 - 1) and Q;
 `ideal_closure` with the closure that adds one product space per round.
 The certification tests check that self-checks raise
 `CertificationError` also under ``python -O``, and that no module of the
-package certifies with an ``assert`` statement.
+package certifies with an ``assert`` statement, and that no module but
+`linalg` picks a numpy dtype.
 """
 
 import ast
@@ -282,4 +283,32 @@ def test_package_certifies_without_assert_statements():
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def _dtype_choices(tree):
+    """Line numbers that name np.int64 or np.float64, pass dtype=object or
+    call astype(object)."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr in ("int64", "float64")
+                and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")):
+            yield node.lineno
+        elif (isinstance(node, ast.keyword) and node.arg == "dtype"
+                and isinstance(node.value, ast.Name) and node.value.id == "object"):
+            yield node.value.lineno
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "astype"
+                and any(isinstance(a, ast.Name) and a.id == "object" for a in node.args)):
+            yield node.lineno
+
+
+def test_only_linalg_picks_a_numpy_dtype():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        lines = sorted(set(_dtype_choices(tree)))
+        if path.name == "linalg.py":
+            assert lines, "the guard no longer recognizes linalg's own dtype choices"
+        else:
+            found += [f"{path.name}:{line}" for line in lines]
     assert found == []
