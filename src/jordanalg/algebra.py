@@ -540,37 +540,57 @@ def associator(x: Element, y: Element, z: Element) -> Element:
 # ideals and quotients
 
 
-def _products_into(table: AlgebraTable, vec, out: list):
-    """Append all basis-element products b_i * v and v * b_i to out: the
-    columns of R_v and of L_v."""
-    for side in ("right", "left"):
-        out.extend(zip(*table.mult_operator(vec, side)))
+def _product_sides(table: AlgebraTable) -> tuple[str, ...]:
+    """Operator sides an ideal must absorb: on a commutative table
+    L_v = R_v, so the left products alone are enough."""
+    return ("left",) if check_identity(table, "commutative") else ("left", "right")
+
+
+def _products(table: AlgebraTable, vec, sides: tuple[str, ...]):
+    """The products v * b_j (side "left") and b_j * v (side "right") with
+    every basis element: the columns of L_v and of R_v."""
+    for side in sides:
+        yield from zip(*table.mult_operator(vec, side))
 
 
 def is_ideal(table: AlgebraTable, space: Subspace) -> bool:
     """Whether the subspace is a two-sided ideal of the table."""
     if space.ambient != table.dim:
         raise BadParameters("subspace ambient differs from algebra dimension")
-    products: list = []
-    for vec in space.basis:
-        _products_into(table, vec, products)
-    return all(space.contains_vector(pr) for pr in products)
+    sides = _product_sides(table)
+    return all(space.contains_vector(pr) for vec in space.basis for pr in _products(table, vec, sides))
 
 
 def ideal_closure(table: AlgebraTable, space: Subspace) -> Subspace:
-    """Smallest ideal containing the subspace (iterated closure, which
-    stops early once it reaches the whole algebra)."""
+    """Smallest ideal containing the subspace, by spinning (Parker's
+    Meat-Axe closure): a semi-echelon basis with pivots 1 grows from the
+    subspace's basis, each row is multiplied by every basis element once,
+    and a product that does not reduce to zero against the rows so far
+    becomes a new row.  Stops early at the whole algebra."""
     if space.ambient != table.dim:
         raise BadParameters("subspace ambient differs from algebra dimension")
-    current = space
-    while True:
-        products: list = []
-        for vec in current.basis:
-            _products_into(table, vec, products)
-        grown = Subspace._wrap(table.field, table.dim, current.basis + tuple(products))
-        if grown.dim == current.dim or grown.dim == table.dim:
-            return grown
-        current = grown
+    f, n = table.field, table.dim
+    sides = _product_sides(table)
+    rows = list(space.basis)
+    pivots = list(space.pivots)
+    # rows appended below are multiplied in turn: the tail of rows is the queue
+    for vec in rows:
+        if len(rows) == n:
+            break
+        for product in _products(table, vec, sides):
+            for pivot, row in zip(pivots, rows):
+                c = product[pivot]
+                if c:
+                    product = combine_raw(f, (1, -c), (product, row))
+            pivot = next((k for k, x in enumerate(product) if x), None)
+            if pivot is None:
+                continue
+            inv = f.inv(product[pivot])
+            rows.append(product if inv == 1 else combine_raw(f, (inv,), (product,)))
+            pivots.append(pivot)
+            if len(rows) == n:
+                break
+    return Subspace.full(f, n) if len(rows) == n else Subspace._wrap(f, n, rows)
 
 
 def _product_space(table: AlgebraTable, a: Subspace, b: Subspace) -> Subspace:

@@ -28,6 +28,7 @@ from .algebra import (
     SplitNullMeta,
     _invert_coords,
     _inversion_kind,
+    _product_sides,
     check_identity,
     ideal_closure,
     invert_element,
@@ -122,11 +123,19 @@ class DerivationSpace:
         return LinearMap(self.algebra, Matrix._wrap(f, [flat[r * n : (r + 1) * n] for r in range(n)]))
 
 
+# Largest Leibniz system, in bytes, that `derivation_space` allocates.
+# The 27-dim Albert system takes about 60 MB; the 64-dim M_8 over GF(3)
+# would take about 8.6 GB and is refused with CapExceeded.
+LEIBNIZ_BYTE_CAP = 2**30
+
+
 def derivation_space(table: AlgebraTable) -> DerivationSpace:
     """Solve the Leibniz system for the full space of derivations.
 
     Unknowns are the dim^2 matrix entries; one equation per basis pair
-    and coordinate.  Commutative tables only need pairs i <= j.
+    and coordinate.  Commutative tables only need pairs i <= j.  A
+    system larger than LEIBNIZ_BYTE_CAP is refused before it is
+    allocated.
     """
     cached = table._cache.get("derivation_space")
     if cached is not None:
@@ -138,6 +147,12 @@ def derivation_space(table: AlgebraTable) -> DerivationSpace:
         pairs = [(i, j) for i in range(n) for j in range(i, n)]
     else:
         pairs = [(i, j) for i in range(n) for j in range(n)]
+    size = len(pairs) * n**3 * c.itemsize
+    if size > LEIBNIZ_BYTE_CAP:
+        raise CapExceeded(
+            f"the Leibniz system of a {n}-dim table needs {size} bytes, "
+            f"over the cap of {LEIBNIZ_BYTE_CAP}"
+        )
     # entries are sums of three entries of c, which its dtype leaves room for
     system = np.zeros((len(pairs), n, n, n), dtype=c.dtype)
     diag = np.arange(n)
@@ -550,7 +565,7 @@ def largest_ideal_in_kernel(table: AlgebraTable, dmap: LinearMap) -> Subspace:
         raise NotADerivation("map fails the Leibniz rule")
     f = table.field
     n = table.dim
-    sides = ("left",) if check_identity(table, "commutative") else ("left", "right")
+    sides = _product_sides(table)
     space = dmap.kernel()
     while space.dim:
         dual = space.annihilator()
@@ -652,8 +667,13 @@ def div_reduction(
     if report.verdict == "div":
         reduced_report = has_invertible_values(quotient, induced, point_cap=point_cap)
         certify(reduced_report.verdict != "not_div", "reduction may not destroy invertible values")
+        # the quotient is a function of (table, ideal) and the scan is
+        # deterministic, so one scan per quotient serves every hit
+        key = ("quotient_scan", ideal.basis, point_cap)
+        if key not in table._cache:
+            table._cache[key] = simplicity_scan(quotient, point_cap=point_cap)
         certify(
-            simplicity_scan(quotient, point_cap=point_cap) != "not_simple",
+            table._cache[key] != "not_simple",
             "quotient by the largest kernel ideal must have no proper principal ideal",
         )
     return ReductionResult(quotient, induced, ideal, projection)

@@ -1,5 +1,6 @@
 import json
 import re
+import resource
 import subprocess
 import sys
 
@@ -269,6 +270,22 @@ def test_math_precondition_exits_3_with_error_name(workdir):
     result = run_cli("divsearch", str(workdir / "oct.alg"))
     assert result.returncode == 3
     assert "NotFinite" in result.stderr
+
+
+def test_oversized_leibniz_system_exits_3(tmp_path):
+    # the 64-dim M_8 would need about 8.6 GB; the child's address space is
+    # capped at 2 GiB, so a missing refusal ends in MemoryError
+    path = str(tmp_path / "m8.alg")
+    assert run_cli("build", "matn", "--n", "8", "--coeff", "GF:3", "-o", path).returncode == 0
+    result = subprocess.run(
+        [sys.executable, "-m", "jordanalg.cli", "derivations", path],
+        capture_output=True,
+        text=True,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31)),
+    )
+    assert result.returncode == 3
+    assert result.stdout == ""
+    assert result.stderr.startswith("error [CapExceeded]: the Leibniz system of a 64-dim table")
 
 
 def test_unknown_suite_check_exits_2():

@@ -1,8 +1,12 @@
 import itertools
 import random
+import resource
+import subprocess
+import sys
 
 import pytest
 
+from jordanalg import derivations
 from jordanalg.algebra import AlgebraTable, LinearMap, invert_element, split_null_extension
 from jordanalg.constructions import (
     albert_type,
@@ -33,6 +37,7 @@ from jordanalg.errors import (
     AlgebraMismatch,
     BadParameters,
     CapExceeded,
+    CertificationError,
     CriterionNotSatisfied,
     NotADerivation,
     NotAlbertType,
@@ -42,7 +47,7 @@ from jordanalg.errors import (
 )
 from jordanalg.fields import Field, prime_field
 from jordanalg.jordan import jordan_inverse, spin_norm
-from jordanalg.linalg import Matrix
+from jordanalg.linalg import Matrix, Subspace
 
 F3 = prime_field(3)
 F5 = prime_field(5)
@@ -149,6 +154,47 @@ def test_derivation_space_exact_for_large_primes(p):
 
 def test_derivation_space_is_cached(spin3):
     assert derivation_space(spin3) is derivation_space(spin3)
+
+
+def test_leibniz_cap_bounds_the_system_size(monkeypatch):
+    # the commutative 27-dim Albert system stays far below the cap
+    assert 378 * 27**3 * 8 < derivations.LEIBNIZ_BYTE_CAP // 10
+    # a commutative 3-dim table: 6 pairs i <= j, 3 * 9 int64 entries each
+    size = 6 * 3**3 * 8
+    monkeypatch.setattr(derivations, "LEIBNIZ_BYTE_CAP", size - 1)
+    with pytest.raises(CapExceeded, match=f"needs {size} bytes"):
+        derivation_space(diagonal_spin_factor(F3, [1, 1]))
+    monkeypatch.setattr(derivations, "LEIBNIZ_BYTE_CAP", size)
+    assert derivation_space(diagonal_spin_factor(F3, [1, 1])).dim == 1
+
+
+def _limit_address_space():
+    """Cap a child's address space at 2 GiB, so that an allocation the cap
+    should have refused ends in MemoryError, not in the host's memory."""
+    resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31))
+
+
+def test_oversized_leibniz_system_is_refused_before_allocation():
+    # M_8 over GF(3): 4096 pairs x 64^3 int64 entries, about 8.6 GB
+    code = (
+        "from jordanalg.algebra import AlgebraTable\n"
+        "from jordanalg.constructions import matrix_algebra\n"
+        "from jordanalg.derivations import derivation_space\n"
+        "from jordanalg.errors import CapExceeded\n"
+        "from jordanalg.fields import prime_field\n"
+        "F3 = prime_field(3)\n"
+        "try:\n"
+        "    derivation_space(matrix_algebra(AlgebraTable(F3, 1, {(0, 0, 0): 1}, unit=[1]), 8))\n"
+        "except CapExceeded as exc:\n"
+        "    print(exc)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, preexec_fn=_limit_address_space
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == (
+        "the Leibniz system of a 64-dim table needs 8589934592 bytes, over the cap of 1073741824\n"
+    )
 
 
 def test_combination_length_mismatch(spin3):
@@ -536,6 +582,67 @@ def test_reduction_requires_unit():
     table = AlgebraTable(F3, 1, {})
     with pytest.raises(NotUnital):
         div_reduction(table, LinearMap.zero(table))
+
+
+def _scan_spy(monkeypatch) -> list:
+    """Record the table of every simplicity_scan that div_reduction runs."""
+    scanned = []
+    real = derivations.simplicity_scan
+
+    def spy(table, **kwargs):
+        scanned.append(table)
+        return real(table, **kwargs)
+
+    monkeypatch.setattr(derivations, "simplicity_scan", spy)
+    return scanned
+
+
+@pytest.mark.parametrize("field", [F3, F7])
+def test_reduction_scans_each_quotient_once(monkeypatch, field):
+    # every hit on a degenerate form reduces by a nonzero kernel ideal
+    table = diagonal_spin_factor(field, [0, 1, 1])
+    hits = div_search(table)
+    scanned = _scan_spy(monkeypatch)
+    ideals = {div_reduction(table, hit.map).ideal for hit in hits}
+    assert len(hits) > len(ideals) and min(ideal.dim for ideal in ideals) > 0
+    assert len(scanned) == len(ideals)
+
+
+def test_reduction_scans_again_for_another_cap_or_table(monkeypatch):
+    table = diagonal_spin_factor(F3, [0, 1, 1])
+    dmap = div_search(table)[0].map
+    scanned = _scan_spy(monkeypatch)
+    div_reduction(table, dmap)
+    div_reduction(table, dmap)
+    assert len(scanned) == 1
+    div_reduction(table, dmap, point_cap=10**5)
+    assert len(scanned) == 2
+    other = diagonal_spin_factor(F3, [0, 1, 1])
+    div_reduction(other, div_search(other)[0].map)
+    assert len(scanned) == 3
+
+
+def test_reduction_certifies_not_simple_verdict_every_time(monkeypatch):
+    table = diagonal_spin_factor(F3, [0, 1, 1])
+    dmap = div_search(table)[0].map
+    monkeypatch.setattr(derivations, "simplicity_scan", lambda table, **kwargs: "not_simple")
+    for _ in range(2):
+        with pytest.raises(CertificationError, match="no proper principal ideal"):
+            div_reduction(table, dmap)
+
+
+def test_reduction_scan_verdict_is_kept_per_ideal(monkeypatch):
+    # a verdict kept for the radical does not cover another ideal of the
+    # same table: by the zero ideal the quotient is the table itself,
+    # whose radical is a proper ideal
+    table = diagonal_spin_factor(F3, [0, 1, 1])
+    dmap = div_search(table)[0].map
+    assert div_reduction(table, dmap).ideal.dim == 1
+    monkeypatch.setattr(
+        derivations, "largest_ideal_in_kernel", lambda table, dmap: Subspace.zero(table.field, table.dim)
+    )
+    with pytest.raises(CertificationError, match="no proper principal ideal"):
+        div_reduction(table, dmap)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,9 @@ product of raw field values.  Property tests (hypothesis) compare them,
 the `Matrix` operators and `Subspace.coords_of` with plain Fraction/int
 arithmetic reduced once at the end, over GF(3), GF(2^61 - 1) and Q;
 `DerivationSpace.combination` with a sum of scaled basis matrices; and
-`ideal_closure` with the closure that adds one product space per round.
+`ideal_closure` with the closure that adds one product space per round,
+on commutative and non-commutative tables over GF(3), GF(5),
+GF(2^61 - 1) and Q.
 The certification tests check that self-checks raise
 `CertificationError` also under ``python -O``, and that no module of the
 package certifies with an ``assert`` statement, and that no module but
@@ -13,6 +15,7 @@ package certifies with an ``assert`` statement, and that no module but
 """
 
 import ast
+import itertools
 import os
 import subprocess
 import sys
@@ -202,8 +205,31 @@ def gf3_tables(draw):
     return AlgebraTable(FIELDS[0], n, entries), start
 
 
-@checked
-@given(gf3_tables())
+@st.composite
+def field_tables(draw):
+    """Tables over GF(3), GF(5), GF(2^61 - 1) and Q, commutative
+    (c[i][j] = c[j][i], where the closure takes left products only) or
+    not.  Triangular ones (b_i b_j in the span of the b_k with
+    k > max(i, j)) have proper ideals for a closure to stop at."""
+    field = draw(st.sampled_from(FIELDS + (prime_field(5),)))
+    n = draw(st.integers(1, 4))
+    cells = _scalars(field) if draw(st.booleans()) else st.sampled_from([0, 0, 0, 1, 2])
+    commutative = draw(st.booleans())
+    triangular = draw(st.booleans())
+    entries = {}
+    for i, j, k in itertools.product(range(n), repeat=3):
+        if triangular and k <= max(i, j):
+            continue
+        if commutative and i > j:
+            entries[(i, j, k)] = entries[(j, i, k)]
+        else:
+            entries[(i, j, k)] = draw(cells)
+    start = [[draw(_scalars(field)) for _ in range(n)] for _ in range(draw(st.integers(1, 2)))]
+    return AlgebraTable(field, n, entries), start
+
+
+@settings(checked, max_examples=120)
+@given(st.one_of(gf3_tables(), field_tables()))
 def test_ideal_closure_matches_closure_by_rounds(case):
     table, start = case
     space = Subspace(table.field, table.dim, start)
