@@ -23,6 +23,7 @@ import numpy as np
 from .errors import (
     AlgebraMismatch,
     BadParameters,
+    CapExceeded,
     FieldMismatch,
     NotAnIdeal,
     NotUnital,
@@ -48,6 +49,19 @@ class SplitNullMeta:
 
     base_dim: int
     shift: RawScalar
+
+
+def _combine_terms(p: int | None, terms, vectors) -> dict:
+    """Nonzero coordinates {r: value} of sum(c * vectors[k] for k, c in
+    terms), every vector given as its (index, raw value) terms.  Sums are
+    taken as plain ints or Fractions, with one ``% p`` per coordinate."""
+    acc: dict = {}
+    for k, c in terms:
+        for r, v in vectors[k]:
+            acc[r] = acc.get(r, 0) + c * v
+    if p:
+        acc = {r: v % p for r, v in acc.items()}
+    return {r: v for r, v in acc.items() if v}
 
 
 class AlgebraTable:
@@ -198,6 +212,14 @@ class AlgebraTable:
                         out[k] = f.add(out[k], f.mul(c, v))
         return out
 
+    def _mul_terms(self, xs, ys) -> dict[int, RawScalar]:
+        """Nonzero coordinates {k: value} of x * y, for x and y given as
+        (index, raw value) terms: the structure rows of the term pairs,
+        combined by `_combine_terms`."""
+        rows = self._rows
+        pairs = [((i, j), a * b) for i, a in xs for j, b in ys if (i, j) in rows]
+        return _combine_terms(self.field.p, pairs, rows)
+
     def mult_operator(self, x: Sequence[RawScalar], side: str = "left") -> list[list]:
         """Raw rows of L_x (side "left") or R_x (side "right").
 
@@ -230,11 +252,16 @@ class AlgebraTable:
         if cached is not None:
             return cached
         n = self.dim
-        rows = [[self.field.zero()] * n for _ in range(n * n)]
+        # the image of the nonzero constants, scattered into zeros: zeros
+        # change neither the denominator lcm nor the largest entry
+        flat, values = [], []
         for (i, j), pairs in self._rows.items():
             for k, v in pairs:
-                rows[i * n + j][k] = v
-        c, scale = _int_image(self.field, rows)
+                flat.append((i * n + j) * n + k)
+                values.append(v)
+        image, scale = _int_image(self.field, [values])
+        c = np.zeros(n**3, dtype=image.dtype)
+        c[flat] = image[0]
         self._cache["int_tensor"] = (c.reshape(n, n, n), scale)
         return self._cache["int_tensor"]
 
@@ -466,6 +493,16 @@ def _check_associative(table: AlgebraTable) -> bool:
     return True
 
 
+# Largest work area, in bytes, that the Jordan check allocates: the same
+# 2^30 as derivations.LEIBNIZ_BYTE_CAP.  Its arrays of n^4 entries peak at
+# about seven at a time (a tracemalloc peak of 6.9 on 16- to 36-dim
+# tables), 8 bytes an entry on the float64 and int64 paths; the object
+# path's Python ints come on top.  The 27-dim Albert check takes about
+# 30 MB; a 72-dim one would take 1.5 GB and is refused with CapExceeded.
+JORDAN_BYTE_CAP = 2**30
+_JORDAN_ARRAYS = 7
+
+
 def _check_jordan(table: AlgebraTable) -> bool:
     """Fully multilinearized Jordan identity on all basis triples.
 
@@ -476,14 +513,22 @@ def _check_jordan(table: AlgebraTable) -> bool:
     supported field.  That operator sum is what gets evaluated here,
     from four matrix products per c.  Commutativity makes it symmetric
     in (a, b, c), so only triples with a, b <= c are formed.  The sum
-    adds six products: over GF(p) each is reduced, over Q each is made
-    with room for all six.
+    adds six products made with room for all six (over GF(p) a product
+    is left unreduced only where its dtype holds six), and over GF(p) it
+    is reduced once.  A check whose arrays would take more than
+    JORDAN_BYTE_CAP bytes is refused before they are allocated.
     """
     if not check_identity(table, "commutative"):
         return False
+    n = table.dim
+    size = _JORDAN_ARRAYS * n**4 * 8
+    if size > JORDAN_BYTE_CAP:
+        raise CapExceeded(
+            f"the Jordan check of a {n}-dim table needs {size} bytes, "
+            f"over the cap of {JORDAN_BYTE_CAP}"
+        )
     c, _ = table.structure_int_tensor()
     p = table.field.p
-    n = table.dim
 
     def product(a, b):
         return _exact_matmul(a, b, p, terms=6)

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .algebra import AlgebraTable, Element, LinearMap
+from .algebra import AlgebraTable, Element, LinearMap, _combine_terms
 from .errors import (
     BadParameters,
     NotAnInvolution,
@@ -71,37 +71,26 @@ def plus_algebra(table: AlgebraTable) -> AlgebraTable:
 def involution_check(table: AlgebraTable, sigma: LinearMap) -> bool:
     """sigma^2 = id and sigma(xy) = sigma(y) sigma(x) on all basis pairs.
 
-    Works on the sparse columns of sigma (column j is sigma(b_j)): the
-    square is checked column by column, and sigma(b_i b_j) is assembled
-    from the table's nonzero row for (i, j), so no dense matrix product
-    is formed.  Every step is exact field arithmetic.
+    Works on the sparse columns of sigma (column j is sigma(b_j)) and on
+    the table's nonzero structure rows: the square is checked column by
+    column, and for each basis pair sigma(b_i b_j) and sigma(b_j) sigma(b_i)
+    are compared as their nonzero coordinates, so no dense vector is
+    formed.  Every step is exact field arithmetic.
     """
     if sigma.algebra is not table and sigma.algebra != table:
         return False
-    f = table.field
     n = table.dim
-    zero, one = f.zero(), f.one()
+    p = table.field.p
+    one = table.field.one()
     rows = sigma.matrix.rows
     cols = [[(r, rows[r][j]) for r in range(n) if rows[r][j]] for j in range(n)]
-
-    def image(terms) -> list:
-        # sigma applied to the sparse vector sum(c * b_k for k, c in terms)
-        out = [zero] * n
-        for k, c in terms:
-            for r, v in cols[k]:
-                out[r] = f.add(out[r], f.mul(c, v))
-        return out
-
-    images = list(zip(*rows))
     for j in range(n):
-        square = image(cols[j])
-        if any(square[:j]) or square[j] != one or any(square[j + 1 :]):
+        if _combine_terms(p, cols[j], cols) != {j: one}:
             return False
     for i in range(n):
         for j in range(n):
-            lhs = image(table._rows.get((i, j), ()))
-            rhs = table.mul_coords(images[j], images[i])
-            if lhs != rhs:
+            lhs = _combine_terms(p, table._rows.get((i, j), ()), cols)
+            if lhs != table._mul_terms(cols[j], cols[i]):
                 return False
     return True
 
@@ -116,36 +105,39 @@ def hermitian_subalgebra(table: AlgebraTable, sigma: LinearMap) -> tuple[Algebra
     """
     if not involution_check(table, sigma):
         raise NotAnInvolution("map is not an involution of the table")
-    return _fixed_subalgebra(table, sigma)
+    fixed, entries, unit = _fixed_structure(table, sigma)
+    sub = AlgebraTable(table.field, fixed.dim, entries, unit=unit)
+    return sub, Matrix._wrap(table.field, zip(*fixed.basis))
 
 
-def _fixed_subalgebra(table: AlgebraTable, sigma: LinearMap) -> tuple[AlgebraTable, Matrix]:
-    """hermitian_subalgebra for a sigma the caller has already verified."""
+def _fixed_structure(table: AlgebraTable, sigma: LinearMap) -> tuple[Subspace, dict, tuple | None]:
+    """The fixed space of a sigma the caller has already verified, the
+    structure constants of the table's product on its canonical basis,
+    and the coordinates of the table's unit (None without one).
+
+    The basis is in reduced echelon form, so a vector of the space has
+    its entries at the pivots as coordinates.  Every product of basis
+    vectors is certified to equal the combination those entries give
+    (the remainder is zero) before its coordinates are kept.
+    """
     f = table.field
-    n = table.dim
-    constraint = sigma.matrix - Matrix.identity(f, n)
-    fixed = constraint.nullspace()
-    m = fixed.dim
-    if m == 0:
+    fixed = (sigma.matrix - Matrix.identity(f, table.dim)).nullspace()
+    if fixed.dim == 0:
         raise NotClosed("fixed space of the involution is zero")
-    basis = [list(v) for v in fixed.basis]
+    basis = [[(r, v) for r, v in enumerate(vec) if v] for vec in fixed.basis]
+    slot = {pivot: k for k, pivot in enumerate(fixed.pivots)}
     entries = {}
-    for a in range(m):
-        for b in range(m):
-            prod = table.mul_coords(basis[a], basis[b])
-            coords = fixed.coords_of(prod)
-            if coords is None:
+    for a, x in enumerate(basis):
+        for b, y in enumerate(basis):
+            prod = table._mul_terms(x, y)
+            coords = [(slot[r], v) for r, v in prod.items() if r in slot]
+            if _combine_terms(f.p, coords, basis) != prod:
                 raise NotClosed("fixed space is not closed under the product")
-            for k, v in enumerate(coords):
-                if v:
-                    entries[(a, b, k)] = v
-    unit = None
+            for k, v in coords:
+                entries[(a, b, k)] = v
     ambient_unit = table.unit_coords()
-    if ambient_unit is not None:
-        unit = fixed.coords_of(list(ambient_unit))
-    sub = AlgebraTable(f, m, entries, unit=unit)
-    embedding = Matrix._wrap(f, zip(*basis))
-    return sub, embedding
+    unit = None if ambient_unit is None else fixed.coords_of(ambient_unit)
+    return fixed, entries, unit
 
 
 def spin_factor(gram: Matrix) -> AlgebraTable:
@@ -380,24 +372,17 @@ def albert_type(field: Field, mus: Sequence, gammas: Sequence) -> AlgebraTable:
     sym = plus_algebra(c3)
     # an anti-automorphism of c3 is an automorphism of c3^+, so the
     # check gamma_involution made already covers sym
-    sub, embedding = _fixed_subalgebra(sym, LinearMap(sym, sigma.matrix))
-    if sub.dim != 27:
-        raise NotClosed(f"hermitian fixed space has dimension {sub.dim}, expected 27")
+    fixed, entries, unit = _fixed_structure(sym, LinearMap(sym, sigma.matrix))
+    if fixed.dim != 27:
+        raise NotClosed(f"hermitian fixed space has dimension {fixed.dim}, expected 27")
 
+    # fixed basis vector m leads with its pivot slot a E_ij of c3
     d = coeff.dim
-    raw_gammas = tuple(field.coerce(g) for g in gammas)
-
-    def slot_of(column: int) -> tuple[int, int, int]:
-        col = [embedding.rows[r][column] for r in range(embedding.nrows)]
-        lead = next(r for r, x in enumerate(col) if x)
-        ij, a = divmod(lead, d)
-        i, j = divmod(ij, 3)
-        return i, j, a
-
     labels = []
     blocks: dict[tuple[int, int], list[int]] = {}
-    for m in range(27):
-        i, j, a = slot_of(m)
+    for m, pivot in enumerate(fixed.pivots):
+        ij, a = divmod(pivot, d)
+        i, j = divmod(ij, 3)
         key = (min(i, j) + 1, max(i, j) + 1)
         blocks.setdefault(key, []).append(m)
         if i == j:
@@ -410,7 +395,6 @@ def albert_type(field: Field, mus: Sequence, gammas: Sequence) -> AlgebraTable:
     for key, members in sorted(blocks.items()):
         peirce[key] = Subspace._wrap(field, 27, [identity[m] for m in members], canonical=True)
 
-    fixed = Subspace._wrap(field, c3.dim, list(zip(*embedding.rows)), canonical=True)
     c3_identity = _identity_raw(field, c3.dim)
     idempotents = []
     for i in range(3):
@@ -419,19 +403,12 @@ def albert_type(field: Field, mus: Sequence, gammas: Sequence) -> AlgebraTable:
         idempotents.append(tuple(coords))
 
     meta = AlbertMeta(
-        gammas=raw_gammas,
+        gammas=tuple(field.coerce(g) for g in gammas),
         mus=tuple(field.coerce(m) for m in mus),
         coeff=coeff,
         coeff_conj=conj_map.matrix,
-        embedding=embedding,
+        embedding=Matrix._wrap(field, zip(*fixed.basis)),
         idempotents=tuple(idempotents),
         peirce=peirce,
     )
-    return AlgebraTable(
-        field,
-        27,
-        {(i, j, k): v for i, j, k, v in sub.sc_items()},
-        labels=tuple(labels),
-        unit=sub.unit_coords(),
-        meta=meta,
-    )
+    return AlgebraTable(field, 27, entries, labels=tuple(labels), unit=unit, meta=meta)

@@ -109,16 +109,18 @@ def _int_image(field: Field, rows: Sequence[Sequence[RawScalar]]) -> tuple[np.nd
     return np.array(ints, dtype=_int_dtype(big)), scale
 
 
-def _product_dtype(inner: int, big_a: int, big_b: int, terms: int = 1):
-    """The number path of exact integer matrix products.
+def _product_bound(inner: int, big_a: int, big_b: int, terms: int = 1) -> int:
+    """Bound on every partial sum of `terms` products with inner dimension
+    `inner` and entries of absolute value at most big_a and big_b.  A
+    zero factor counts as 1, so that every entry converts exactly."""
+    return terms * max(inner, 1) * max(big_a, 1) * max(big_b, 1)
 
-    A sum of `terms` products with inner dimension `inner` and entries of
-    absolute value at most big_a and big_b has every partial sum at most
-    terms * inner * big_a * big_b in absolute value: float64 is exact
-    while that bound is below 2^53, int64 while it is below 2^63.  A zero
-    factor counts as 1, so that every entry converts exactly.
-    """
-    bound = terms * max(inner, 1) * max(big_a, 1) * max(big_b, 1)
+
+def _product_dtype(inner: int, big_a: int, big_b: int, terms: int = 1):
+    """The number path of exact integer matrix products: float64 while
+    `_product_bound` is below 2^53, int64 while it is below 2^63, object
+    dtype beyond."""
+    bound = _product_bound(inner, big_a, big_b, terms)
     if bound < _FLOAT64_EXACT:
         return np.float64
     return np.int64 if bound < _INT64_EXACT else object
@@ -132,20 +134,25 @@ def _magnitude(a: np.ndarray, p: int | None) -> int:
 
 
 def _exact_matmul(a: np.ndarray, b: np.ndarray, p: int | None = None, terms: int = 1) -> np.ndarray:
-    """Exact a @ b of integer arrays: residues mod p (reduced on return),
-    or arbitrary integers when p is None.
+    """Exact a @ b of integer arrays: residues mod p, or arbitrary
+    integers when p is None.
 
     The number path is `_product_dtype`'s; a float64 product comes back
-    as int64.  Over Q the result dtype also holds the sum of `terms`
-    results of calls that pass the same `terms`, since the largest of
-    them was given room for all; over GF(p) the results are residues, and
-    int64 ones are below 2^32, so a sum of a few stays far inside int64.
+    as int64.  The result dtype also holds the sum of `terms` results of
+    calls that pass the same `terms`.  Over Q the largest of them was
+    given room for all.  Over GF(p) the path is picked for one product;
+    with terms > 1 the caller reduces the sum, so a result is left
+    unreduced where its dtype holds `terms` unreduced results (object
+    dtype always does), and comes back as residues otherwise.
     """
-    dtype = _product_dtype(a.shape[-1], _magnitude(a, p), _magnitude(b, p), 1 if p else terms)
+    inner, big_a, big_b = a.shape[-1], _magnitude(a, p), _magnitude(b, p)
+    dtype = _product_dtype(inner, big_a, big_b, 1 if p else terms)
     out = a.astype(dtype, copy=False) @ b.astype(dtype, copy=False)
     if dtype is np.float64:
         out = out.astype(np.int64)
-    if p:
+    if p and (
+        terms == 1 or (dtype is not object and _product_bound(inner, big_a, big_b, terms) >= _INT64_EXACT)
+    ):
         out %= p
     return out
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from jordanalg import linalg
+from jordanalg import algebra, linalg
 from jordanalg.algebra import (
     AlgebraTable,
     Element,
@@ -27,6 +27,7 @@ from jordanalg.constructions import albert_type, diagonal_spin_factor, matrix_al
 from jordanalg.errors import (
     AlgebraMismatch,
     BadParameters,
+    CapExceeded,
     NotAnIdeal,
     NotUnital,
 )
@@ -354,6 +355,20 @@ def test_jordan_check_rejects_perturbed_albert(monkeypatch, field, path):
     bad = _perturbed(t, 1, 2, 0)
     assert check_identity(bad, "commutative")
     assert _checked_paths(monkeypatch, bad, "jordan") == (False, {path})
+
+
+def test_jordan_cap_bounds_the_check_size(monkeypatch):
+    # the 27-dim Albert check stays far below the cap
+    assert 7 * 27**4 * 8 < algebra.JORDAN_BYTE_CAP // 30
+    # a commutative 3-dim table: seven arrays of 3^4 entries of 8 bytes
+    size = 7 * 3**4 * 8
+    monkeypatch.setattr(algebra, "JORDAN_BYTE_CAP", size - 1)
+    with pytest.raises(CapExceeded, match=f"needs {size} bytes"):
+        check_identity(small_spin_table(prime_field(5), [1, 2]), "jordan")
+    # a table that is not commutative is answered without the arrays
+    assert not check_identity(m2_table(prime_field(5)), "jordan")
+    monkeypatch.setattr(algebra, "JORDAN_BYTE_CAP", size)
+    assert check_identity(small_spin_table(prime_field(5), [1, 2]), "jordan")
 
 
 def test_identity_checks_past_int64():

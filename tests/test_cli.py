@@ -288,6 +288,26 @@ def test_oversized_leibniz_system_exits_3(tmp_path):
     assert result.stderr.startswith("error [CapExceeded]: the Leibniz system of a 64-dim table")
 
 
+def test_oversized_jordan_check_exits_3(tmp_path):
+    # the 81-dim plus algebra of M_9 would need about 2.4 GB of n^4
+    # arrays; the child's address space is capped at 2 GiB, so a missing
+    # refusal ends in MemoryError
+    m9, plus9 = str(tmp_path / "m9.alg"), str(tmp_path / "plus9.alg")
+    assert run_cli("build", "matn", "--n", "9", "--coeff", "GF:3", "-o", m9).returncode == 0
+    assert run_cli("build", "plus", m9, "-o", plus9).returncode == 0
+    result = subprocess.run(
+        [sys.executable, "-m", "jordanalg.cli", "check", plus9, "--which", "jordan"],
+        capture_output=True,
+        text=True,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31)),
+    )
+    assert result.returncode == 3
+    assert result.stdout == ""
+    assert result.stderr.startswith(
+        "error [CapExceeded]: the Jordan check of a 81-dim table needs 2410616376 bytes"
+    )
+
+
 def test_unknown_suite_check_exits_2():
     result = run_cli("verify-paper", "--only", "no-such-check")
     assert result.returncode == 2

@@ -1,4 +1,5 @@
 import hashlib
+import random
 from fractions import Fraction
 
 import pytest
@@ -401,6 +402,129 @@ def test_involution_check_matches_dense_reference(field):
     verdicts = [involution_check(t, LinearMap(t, m)) for t, m in maps]
     assert verdicts == [_dense_involution_reference(t, LinearMap(t, m)) for t, m in maps]
     assert True in verdicts[1:] and verdicts.count(False) > len(maps) // 2
+
+
+# ---------------------------------------------------------------------------
+# the sparse paths against dense references, on tables moved to a random
+# basis so that sigma and the fixed basis are dense
+
+TRANSPORT_FIELDS = [F5, prime_field(2**61 - 1), RATIONALS]
+TRANSPORT_IDS = ["GF5", "GF(2^61-1)", "Q"]
+
+
+def _random_basis(field, n, rng):
+    """An invertible n x n matrix P and its inverse, with random entries."""
+    while True:
+        if field.is_rational:
+            rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        else:
+            rows = [[rng.randrange(field.p) for _ in range(n)] for _ in range(n)]
+        p = Matrix(field, rows)
+        if p.rank() == n:
+            break
+    std = Matrix.identity(field, n).rows
+    return p, Matrix(field, list(zip(*(solve(p, e) for e in std))))
+
+
+def _transport(table, sigma, p, p_inv):
+    """The table and the map sigma in the basis of the columns of P."""
+    f = table.field
+    n = table.dim
+    cols = list(zip(*p.rows))
+    entries = {}
+    for i in range(n):
+        for j in range(n):
+            for k, v in enumerate(p_inv.apply(table.mul_coords(cols[i], cols[j]))):
+                entries[(i, j, k)] = v
+    moved = AlgebraTable(f, n, entries, unit=p_inv.apply(table.unit_coords()))
+    return moved, LinearMap(moved, p_inv @ sigma @ p)
+
+
+def _transported_cases(field, seed):
+    """(table, sigma) for M_2 with the transpose and the quaternions with
+    their conjugation, each moved to a random basis."""
+    rng = random.Random(f"transport-{seed}-{field}")
+    quat, conj = cayley_dickson(field, [-1, 2])
+    m2 = full_matrix_table(field, 2)
+    cases = []
+    for table, sigma in ((m2, transpose_map(m2, 2).matrix), (quat, conj.matrix)):
+        p, p_inv = _random_basis(field, table.dim, rng)
+        cases.append(_transport(table, sigma, p, p_inv))
+    return cases
+
+
+def _hermitian_reference(table, sigma):
+    """hermitian_subalgebra by one Subspace.coords_of per product of fixed
+    basis vectors, or None when the fixed space is not closed."""
+    f = table.field
+    fixed = (sigma.matrix - Matrix.identity(f, table.dim)).nullspace()
+    entries = {}
+    for a, x in enumerate(fixed.basis):
+        for b, y in enumerate(fixed.basis):
+            coords = fixed.coords_of(table.mul_coords(x, y))
+            if coords is None:
+                return None
+            for k, v in enumerate(coords):
+                entries[(a, b, k)] = v
+    unit = fixed.coords_of(table.unit_coords())
+    return AlgebraTable(f, fixed.dim, entries, unit=unit), Matrix(f, list(zip(*fixed.basis)))
+
+
+@pytest.mark.parametrize("field", TRANSPORT_FIELDS, ids=TRANSPORT_IDS)
+def test_involution_check_on_dense_maps_matches_dense_reference(field):
+    maps = []
+    for table, sigma in _transported_cases(field, 1):
+        assert sum(1 for row in sigma.matrix.rows for x in row if x) > table.dim
+        maps.append((table, sigma.matrix))
+        for r, c in ((0, 0), (1, 2), (table.dim - 1, 0)):
+            rows = [list(row) for row in sigma.matrix.rows]
+            rows[r][c] = field.add(rows[r][c], field.one())
+            maps.append((table, Matrix(field, rows)))
+        maps.append((table, Matrix.identity(field, table.dim)))
+    verdicts = [involution_check(t, LinearMap(t, m)) for t, m in maps]
+    assert verdicts == [_dense_involution_reference(t, LinearMap(t, m)) for t, m in maps]
+    # per table: sigma, three one-entry perturbations, the identity
+    assert verdicts == [True, False, False, False, False] * 2
+
+
+@pytest.mark.parametrize("field", TRANSPORT_FIELDS, ids=TRANSPORT_IDS)
+def test_hermitian_on_dense_basis_matches_coords_of_reference(field):
+    # symmetric 2x2 matrices, and the scalars of the quaternions
+    for (table, sigma), dim in zip(_transported_cases(field, 2), (3, 1)):
+        sym = plus_algebra(table)
+        sub, embedding = hermitian_subalgebra(sym, LinearMap(sym, sigma.matrix))
+        ref_sub, ref_embedding = _hermitian_reference(sym, sigma)
+        assert sub == ref_sub and embedding == ref_embedding
+        assert sub.dim == dim and sub.unit_coords() is not None
+        # the raw product of the transported M_2 does not close its
+        # symmetric matrices; the quaternions' scalars are closed
+        closed = _hermitian_reference(table, sigma)
+        if closed is None:
+            with pytest.raises(NotClosed):
+                hermitian_subalgebra(table, sigma)
+        else:
+            assert hermitian_subalgebra(table, sigma)[0] == closed[0]
+
+
+def test_albert_type_solves_only_for_unit_and_idempotents(monkeypatch):
+    solved = []
+    real = Subspace.coords_of
+
+    def spy(self, vec):
+        solved.append(tuple(vec))
+        return real(self, vec)
+
+    def dense_product(*args):
+        raise AssertionError("albert_type formed a dense product")
+
+    monkeypatch.setattr(Subspace, "coords_of", spy)
+    monkeypatch.setattr(AlgebraTable, "mul_coords", dense_product)
+    t = albert_type(F7, [3, 5, 6], [1, 3, 2])
+    unit_72 = tuple(1 if r in (0, 32, 64) else 0 for r in range(72))
+    assert solved == [unit_72] + [
+        tuple(1 if r == slot else 0 for r in range(72)) for slot in (0, 32, 64)
+    ]
+    assert list(t.meta.embedding.apply(t.unit_coords())) == list(unit_72)
 
 
 def _flip_gamma_entries(monkeypatch, symmetric: bool):

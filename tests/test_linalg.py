@@ -295,6 +295,16 @@ def test_exact_matmul_over_gf_at_each_edge(p, path):
     assert got.tolist()[0][0] == 27 * (p - 1) ** 2 % p
 
 
+@pytest.mark.parametrize("p, path", GF_EDGE_CASES, ids=[str(p) for p, _ in GF_EDGE_CASES])
+def test_exact_matmul_sum_of_terms_over_gf_at_each_edge(p, path):
+    # six products of the largest residues, summed and then reduced once:
+    # at 584_471_011 one product fits int64 and six do not
+    a = [[p - 1] * 27, [1] * 27]
+    b = [[p - 1, 1] for _ in range(27)]
+    total = sum(_exact_matmul(_array(a), _array(b), p, terms=6) for _ in range(6)) % p
+    assert total.tolist() == [[6 * v % p for v in row] for row in _python_product(a, b, p)]
+
+
 # integer entries of absolute value at most `big`, inner dimension 27
 Z_EDGE_CASES = [
     (18_264_719, np.float64),
@@ -326,7 +336,8 @@ def test_exact_matmul_leaves_room_for_summed_terms():
     b = [[big] for _ in range(27)]
     total = sum(_exact_matmul(_array(a), _array(b), terms=3) for _ in range(3))
     assert total.tolist() == [[3 * 27 * big * big]]
-    # over GF(p) results come back reduced, so `terms` does not shrink a path
+    # over GF(p) the path is picked for one product, so `terms` does not
+    # shrink it
     p = 18_264_707
     assert _exact_matmul(_array(a), _array(b), p, terms=6).dtype == np.int64
 
