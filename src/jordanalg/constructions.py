@@ -278,9 +278,10 @@ def cd_norm(x: Element) -> Scalar:
 def matrix_algebra(coeff: AlgebraTable, n: int) -> AlgebraTable:
     """n x n matrices with entries in a unital coefficient algebra.
 
-    Basis vectors are a E_{ij} ordered by (i, j, a); the product is the
-    usual matrix product with coefficient products taken in `coeff`,
-    which may be nonassociative.
+    Basis vectors are a E_{ij} ordered by (i, j, a), labelled e{i}{j}
+    (e{i}.{j} from n = 10 on) with _{label of a} appended when coeff has
+    more than one dimension; the product is the usual matrix product with
+    coefficient products taken in `coeff`, which may be nonassociative.
     """
     if coeff.unit_coords() is None:
         raise NotUnital("coefficient algebra must be unital")
@@ -299,11 +300,13 @@ def matrix_algebra(coeff: AlgebraTable, n: int) -> AlgebraTable:
             for j in range(n):
                 for l in range(n):
                     entries[(index(i, j, a), index(j, l, b), index(i, l, k))] = v
+    # from n = 10 on, e1 11 and e11 1 would both read e111
+    sep = "." if n >= 10 else ""
     if coeff.dim == 1:
-        labels = tuple(f"e{i + 1}{j + 1}" for i in range(n) for j in range(n))
+        labels = tuple(f"e{i + 1}{sep}{j + 1}" for i in range(n) for j in range(n))
     else:
         labels = tuple(
-            f"e{i + 1}{j + 1}_{coeff.label_of(a)}"
+            f"e{i + 1}{sep}{j + 1}_{coeff.label_of(a)}"
             for i in range(n)
             for j in range(n)
             for a in range(d)

@@ -56,6 +56,7 @@ from .errors import (
 )
 from .jordan import albert_norm, spin_norm
 from .linalg import (
+    Entries,
     Matrix,
     Subspace,
     _exact_matmul,
@@ -73,29 +74,33 @@ from .linalg import (
 # the Leibniz rule
 
 
-def _leibniz_defect(table: AlgebraTable, dmap: LinearMap) -> np.ndarray:
-    """Integer tensor T[i,j,k]: coordinate k of D(bi bj) - D(bi)bj - bi D(bj),
-    up to one overall positive scale factor, and over GF(p) up to
-    multiples of p."""
+def _leibniz_defect(table: AlgebraTable, maps) -> np.ndarray:
+    """Integer tensor T[i,j,s,k]: coordinate k of D(bi bj) - D(bi)bj - bi D(bj)
+    for the map D = maps[s], up to one overall positive scale factor, and
+    reduced mod p over GF(p)."""
     c, _ = table.structure_int_tensor()
-    d, _ = _int_image(table.field, dmap.matrix.rows)
     n = table.dim
+    s = len(maps)
     p = table.field.p
-    lhs = _exact_matmul(c.reshape(n * n, n), d.T, p, terms=3)
-    r1 = _exact_matmul(d.T, c.reshape(n, n * n), p, terms=3)
-    # axes (j, i, k) of bi D(bj)
-    r2 = _exact_matmul(d.T, c.transpose(1, 0, 2).reshape(n, n * n), p, terms=3)
-    return lhs.reshape(n, n, n) - r1.reshape(n, n, n) - r2.reshape(n, n, n).transpose(1, 0, 2)
+    # d[s*n + k] is row k of maps[s], dt[s*n + m] row m of its transpose
+    d, _ = _int_image(table.field, [row for m in maps for row in m.matrix.rows])
+    dt = d.reshape(s, n, n).transpose(0, 2, 1).reshape(s * n, n)
+    defect = _exact_matmul(c.reshape(n * n, n), d.T, p, terms=3).reshape(n, n, s, n)
+    # axes (s, i, j, k) of D(bi) bj
+    defect -= _exact_matmul(dt, c.reshape(n, n * n), p, terms=3).reshape(s, n, n, n).transpose(1, 2, 0, 3)
+    # axes (s, j, i, k) of bi D(bj)
+    r2 = _exact_matmul(dt, c.transpose(1, 0, 2).reshape(n, n * n), p, terms=3)
+    defect -= r2.reshape(s, n, n, n).transpose(2, 1, 0, 3)
+    if p:
+        defect %= p
+    return defect
 
 
 def is_derivation(table: AlgebraTable, dmap: LinearMap) -> bool:
     """Whether D(xy) = D(x)y + x D(y) holds on all basis pairs, exactly."""
     if dmap.algebra != table:
         raise AlgebraMismatch("map is defined on a different algebra")
-    defect = _leibniz_defect(table, dmap)
-    if table.field.is_rational:
-        return not defect.any()
-    return not (defect % table.field.p).any()
+    return not _leibniz_defect(table, [dmap]).any()
 
 
 @dataclass(frozen=True)
@@ -123,10 +128,51 @@ class DerivationSpace:
         return LinearMap(self.algebra, Matrix._wrap(f, [flat[r * n : (r + 1) * n] for r in range(n)]))
 
 
-# Largest Leibniz system, in bytes, that `derivation_space` allocates.
-# The 27-dim Albert system takes about 60 MB; the 64-dim M_8 over GF(3)
-# would take about 8.6 GB and is refused with CapExceeded.
+# Largest Leibniz system, in bytes, that `derivation_space` accepts,
+# measured as the dense array of one int64 (or wider) entry per cell.
+# Over GF(p) that array is never allocated: the system is kept as its
+# nonzero entries.  The dense 27-dim Albert system would take about
+# 60 MB; the 64-dim M_8 over GF(3) would take about 8.6 GB and is refused
+# with CapExceeded.
 LEIBNIZ_BYTE_CAP = 2**30
+
+
+def _leibniz_entries(c: np.ndarray, pairs: list[tuple[int, int]]) -> Entries:
+    """The Leibniz system as entry triples, from the nonzero constants.
+
+    Row t*n + k is coordinate k of D(bi bj) - D(bi)bj - bi D(bj) for the
+    pair t = (i, j); unknown r*n + c is entry (r, c) of the matrix of D.
+    A constant c[a, b, m] = v gives v at (k, k*n + m) for every k in the
+    rows of the pair (a, b), -v at (m, a*n + i) in the rows of each pair
+    (i, b), and -v at (m, b*n + j) in the rows of each pair (a, j).  A
+    cell is the sum of at most one entry of each kind, which the dtype
+    of c leaves room for.
+    """
+    n = c.shape[0]
+    row_of = np.full((n, n), -1)
+    row_of[tuple(np.array(pairs).T)] = np.arange(len(pairs)) * n
+    a, b, m = np.nonzero(c)
+    v = c[a, b, m]
+    span = np.arange(n)
+    t = row_of[a, b]
+    first = t >= 0
+    rows = [(t[first, None] + span).ravel()]
+    cols = [(span * n + m[first, None]).ravel()]
+    vals = [np.repeat(v[first], n)]
+    # -D(bi) bj: pairs (i, b); -bi D(bj): pairs (a, j)
+    for base, col in ((row_of[:, b].T, a[:, None] * n + span), (row_of[a], b[:, None] * n + span)):
+        hit = base >= 0
+        rows.append((base + m[:, None])[hit])
+        cols.append(col[hit])
+        vals.append(np.repeat(-v, n).reshape(hit.shape)[hit])
+    shape = (len(pairs) * n, n * n)
+    return Entries(shape, np.concatenate(rows), np.concatenate(cols), np.concatenate(vals))
+
+
+# Largest number of cells of the stacked Leibniz defect that
+# `derivation_space` forms at once when it certifies a basis: 2 MB of
+# int64, 13 maps of a 27-dim table.
+_DEFECT_CELLS = 1 << 18
 
 
 def derivation_space(table: AlgebraTable) -> DerivationSpace:
@@ -135,7 +181,8 @@ def derivation_space(table: AlgebraTable) -> DerivationSpace:
     Unknowns are the dim^2 matrix entries; one equation per basis pair
     and coordinate.  Commutative tables only need pairs i <= j.  A
     system larger than LEIBNIZ_BYTE_CAP is refused before it is
-    allocated.
+    allocated.  The basis is certified by the Leibniz defect of its maps
+    stacked, _DEFECT_CELLS cells at a time.
     """
     cached = table._cache.get("derivation_space")
     if cached is not None:
@@ -153,30 +200,22 @@ def derivation_space(table: AlgebraTable) -> DerivationSpace:
             f"the Leibniz system of a {n}-dim table needs {size} bytes, "
             f"over the cap of {LEIBNIZ_BYTE_CAP}"
         )
-    # entries are sums of three entries of c, which its dtype leaves room for
-    system = np.zeros((len(pairs), n, n, n), dtype=c.dtype)
-    diag = np.arange(n)
-    for t, (i, j) in enumerate(pairs):
-        blk = system[t]
-        # unknown u[r, c] is entry (r, c) of the matrix, flattened as r*n + c
-        blk[diag, diag, :] += c[i, j, :]
-        blk[:, :, i] -= c[:, j, :].T
-        blk[:, :, j] -= c[i, :, :].T
-    rows = system.reshape(len(pairs) * n, n * n)
+    system = _leibniz_entries(c, pairs)
     if f.is_rational:
-        basis = nullspace_int_crt(rows, n * n)
+        basis = nullspace_int_crt(system.dense(c.dtype), n * n)
     else:
-        basis = _nullspace_mod_staged(rows, f.p).tolist()
+        basis = _nullspace_mod_staged(system, f.p).tolist()
     maps = [
         LinearMap(table, Matrix._wrap(f, [null_row[r * n : (r + 1) * n] for r in range(n)]))
         for null_row in basis
     ]
-    unit = table.unit_coords()
-    for m in maps:
-        if not is_derivation(table, m):
+    step = max(1, _DEFECT_CELLS // n**3)
+    for lo in range(0, len(maps), step):
+        if _leibniz_defect(table, maps[lo : lo + step]).any():
             raise CertificationError("nullspace row fails the Leibniz rule")
-        if unit is not None and any(m.matrix.apply(unit)):
-            raise CertificationError("derivation must kill the unit")
+    unit = table.unit_coords()
+    if unit is not None and any(dot_raw(f, row, unit) for m in maps for row in m.matrix.rows):
+        raise CertificationError("derivation must kill the unit")
     space = DerivationSpace(table, tuple(maps))
     table._cache["derivation_space"] = space
     return space

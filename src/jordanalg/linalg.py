@@ -19,8 +19,13 @@ while every dot product stays below 2^53, int64 below 2^63, object dtype
 beyond.  Over GF(p) the bound follows from p alone; over Q it comes from
 a scan of the inputs.
 
-Tall GF(p) nullspaces run through `_nullspace_mod_staged` on the numpy
-kernel.  Large rational nullspaces are computed modulo several primes
+Tall GF(p) nullspaces run through `_nullspace_mod_staged`.  It takes a
+matrix as entry triples (`Entries`), an array or rows; one of more than
+`_NP_THRESHOLD` cells is split into its independent column blocks, and
+each block is eliminated on the kernel for its size, the numpy one in
+chunks of rows.  The Leibniz system comes as triples, so over GF(p) its
+dense form, which `derivations.LEIBNIZ_BYTE_CAP` bounds, is never
+allocated.  Large rational nullspaces are computed modulo several primes
 and lifted by rational reconstruction; the lifted basis is verified
 against the original matrix with exact integer arithmetic, and when it
 cannot be certified the system is solved on the exact Python kernel,
@@ -43,7 +48,7 @@ import math
 from fractions import Fraction
 from itertools import compress, count
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -232,12 +237,17 @@ def _rref_mod_np(a, p: int) -> tuple[np.ndarray, int, list[int]]:
 
 def rref_raw(field: Field, rows: Sequence[Sequence[RawScalar]]):
     """Reduced row echelon form of raw rows; returns (rows, rank, pivots)."""
-    work = [list(r) for r in rows]
-    p = field.p  # None over Q
-    if p and len(work) * (len(work[0]) if work else 0) > _NP_THRESHOLD:
-        arr, rank, piv = _rref_mod_np(work, p)
+    return _rref_lists([list(r) for r in rows], field.p)
+
+
+def _rref_lists(rows: list[list], p: int | None):
+    """`rref_raw` of fresh lists over GF(p), or over Q when p is None: on
+    the numpy kernel past `_NP_THRESHOLD` cells over GF(p), on the Python
+    kernel otherwise."""
+    if p and len(rows) * (len(rows[0]) if rows else 0) > _NP_THRESHOLD:
+        arr, rank, piv = _rref_mod_np(rows, p)
         return arr.tolist(), rank, piv
-    return _rref_mod_py(work, p)
+    return _rref_mod_py(rows, p)
 
 
 def _nullspace_standard_basis(rref_rows, pivots: list[int], ncols: int, p: int | None):
@@ -259,11 +269,18 @@ def _nullspace_standard_basis(rref_rows, pivots: list[int], ncols: int, p: int |
 
 def _nullspace_exact(field: Field, rows: list[list], ncols: int):
     """Canonical nullspace basis on the Python kernel."""
-    p = field.p
+    return _nullspace_lists(rows, ncols, field.p)[0]
+
+
+def _nullspace_lists(rows: list[list], ncols: int, p: int | None):
+    """`_nullspace_exact` over GF(p), or over Q when p is None, and the
+    pivot column of each basis row."""
     red, _, piv = _rref_mod_py(rows, p)
     basis = _nullspace_standard_basis(red, piv, ncols, p)
-    basis, _, _ = rref_raw(field, basis) if basis else (basis, 0, [])
-    return [row for row in basis if any(row)]
+    if not basis:
+        return basis, []
+    basis, rank, piv = _rref_lists(basis, p)
+    return basis[:rank], piv
 
 
 def nullspace_raw(field: Field, rows: Sequence[Sequence[RawScalar]], ncols: int):
@@ -332,36 +349,141 @@ def _identity_raw(field: Field, n: int):
 # staged modular nullspace (big GF(p) systems)
 
 
-def _nullspace_mod_staged(m, p: int, chunk: int = 3000) -> np.ndarray:
-    """Canonical nullspace basis over GF(p) of a tall matrix (array or rows).
+class Entries(NamedTuple):
+    """A matrix of the given shape as entry triples: value vals[k] at row
+    rows[k], column cols[k].  A cell that several triples name holds
+    their sum."""
 
-    Rows are consumed in chunks; after each chunk the candidate space is
-    cut down by the chunk's constraints expressed in the current basis,
-    so the expensive full-width elimination happens only once.  Zero and
-    repeated rows are kept: they do not change the nullspace, and a
-    filtered copy of a system as tall as the Leibniz system of a 27-dim
-    table would cost tens of megabytes at the peak.
+    shape: tuple[int, int]
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+
+    def dense(self, dtype) -> np.ndarray:
+        a = np.zeros(self.shape, dtype=dtype)
+        np.add.at(a, (self.rows, self.cols), self.vals)
+        return a
+
+
+def _entries_mod(m, p: int) -> Entries:
+    """The nonzero residues mod p of a matrix (Entries, array or rows) as
+    triples.  A dense matrix gives one triple per nonzero cell, row by
+    row; triples given as Entries keep their order and repeats."""
+    dtype = _int_dtype(p - 1)
+    if isinstance(m, Entries):
+        shape, rows, cols, vals = m
+    else:
+        a = m if isinstance(m, np.ndarray) else np.asarray(m, dtype=object if dtype is object else None)
+        shape = a.shape
+        rows, cols = np.nonzero(a)
+        vals = a[rows, cols]
+    vals = (vals.astype(object) if dtype is object else vals) % p
+    keep = np.flatnonzero(vals)
+    return Entries(shape, rows[keep], cols[keep], vals[keep].astype(dtype))
+
+
+def _column_blocks(e: Entries, p: int):
+    """The independent column blocks of a matrix of `_entries_mod`
+    triples: (columns, the block's nonzero rows on those columns) per
+    block, in the order of the blocks' least columns.  Two columns share
+    a block when some row has nonzero entries in both; a column in no
+    row is a block of its own, with no rows."""
+    nrows, ncols = e.shape
+    _, rows, cols, vals = e
+    key = rows * ncols + cols
+    if not (key[1:] > key[:-1]).all():
+        # one triple per nonzero cell, row by row: the sum of its triples
+        key, where = np.unique(key, return_inverse=True)
+        vals = np.zeros(key.size, dtype=e.vals.dtype)
+        np.add.at(vals, where, e.vals)
+        vals %= p
+        keep = np.flatnonzero(vals)
+        rows, cols = np.divmod(key[keep], ncols)
+        vals = vals[keep]
+    # label every column with the least column of its block: give each
+    # column the least label in its rows, then its label's label, until
+    # nothing moves
+    label = np.arange(ncols)
+    least = np.empty(nrows, dtype=label.dtype)
+    while True:
+        least.fill(ncols)
+        np.minimum.at(least, rows, label[cols])
+        new = label.copy()
+        np.minimum.at(new, cols, least[rows])
+        new = new[new]
+        if (new == label).all():
+            break
+        label = new
+    col_label = label[cols]
+    local_col = np.empty(ncols, dtype=np.int64)
+    for root in np.flatnonzero(label == np.arange(ncols)):
+        block_cols = np.flatnonzero(label == root)
+        local_col[block_cols] = np.arange(block_cols.size)
+        sel = np.flatnonzero(col_label == root)
+        r = rows[sel]
+        new_row = np.ones(r.size, dtype=bool)
+        new_row[1:] = r[1:] != r[:-1]
+        a = np.zeros((int(new_row.sum()), block_cols.size), dtype=vals.dtype)
+        a[np.cumsum(new_row) - 1, local_col[cols[sel]]] = vals[sel]
+        yield block_cols, a
+
+
+def _nullspace_mod_staged(m, p: int, chunk: int = 3000) -> np.ndarray:
+    """Canonical nullspace basis over GF(p) of a tall matrix: entry
+    triples (`Entries`), an array or rows.
+
+    A matrix of more than `_NP_THRESHOLD` cells is split into its
+    independent column blocks; no row links two blocks, so the nullspace
+    is the direct sum of the blocks' nullspaces, and their canonical
+    bases, placed back in their columns and sorted by pivot, make the
+    canonical basis of the whole.  A smaller matrix is one block.  As in
+    `rref_raw`, a block of at most `_NP_THRESHOLD` cells is reduced on
+    the Python kernel and a larger one in chunks on the numpy kernel.
     """
-    m = _residues(m, p)
+    e = _entries_mod(m, p)
+    nrows, ncols = e.shape
+    if nrows * ncols <= _NP_THRESHOLD:
+        return _block_nullspace(e.dense(e.vals.dtype) % p, p, chunk)[0]
+    parts, pivots = [], []
+    for block_cols, a in _column_blocks(e, p):
+        ns, piv = _block_nullspace(a, p, chunk)
+        full = np.zeros((ns.shape[0], ncols), dtype=ns.dtype)
+        full[:, block_cols] = ns
+        parts.append(full)
+        pivots += block_cols[piv].tolist()
+    order = sorted(range(len(pivots)), key=pivots.__getitem__)
+    return np.concatenate(parts)[order]
+
+
+def _block_nullspace(m: np.ndarray, p: int, chunk: int) -> tuple[np.ndarray, list[int]]:
+    """Canonical nullspace basis over GF(p) of an array of residues, and
+    the pivot column of each basis row.
+
+    Up to `_NP_THRESHOLD` cells the rows are reduced on the Python
+    kernel.  Beyond, they are consumed in chunks on the numpy kernel;
+    after each chunk the candidate space is cut down by the chunk's
+    constraints expressed in the current basis, so the expensive
+    full-width elimination happens only once.
+    """
     ncols = m.shape[1]
+    dtype = _int_dtype(p - 1)
+    if m.size <= _NP_THRESHOLD:
+        basis, piv = _nullspace_lists(m.tolist(), ncols, p)
+        return np.array(basis, dtype=dtype).reshape(-1, ncols), piv
     basis: np.ndarray | None = None
     for lo in range(0, m.shape[0], chunk):
         blk = m[lo : lo + chunk]
         if basis is not None:
             if basis.shape[0] == 0:
-                return basis
+                return basis, []
             blk = _exact_matmul(blk, basis.T, p)
         width = blk.shape[1]
         red, rank, piv = _rref_mod_np(blk, p)
         ns = _nullspace_standard_basis(red[:rank].tolist(), piv, width, p)
-        ns = np.array(ns, dtype=_int_dtype(p - 1)).reshape(-1, width)
+        ns = np.array(ns, dtype=dtype).reshape(-1, width)
         basis = ns if basis is None else _exact_matmul(ns, basis, p)
-    if basis is None:
-        basis = np.eye(ncols, dtype=_int_dtype(p - 1))
-    if basis.shape[0]:
-        basis, _, _ = _rref_mod_np(basis, p)
-        basis = basis[np.any(basis, axis=1)]
-    return basis
+    basis, rank, piv = _rref_mod_np(basis, p)
+    return basis[:rank], piv
 
 
 # ---------------------------------------------------------------------------

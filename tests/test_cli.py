@@ -76,6 +76,24 @@ def test_build_matn_has_eight_constants(workdir):
     assert sum(1 for line in text.splitlines() if line.startswith("sc ")) == 8
 
 
+def test_build_matn_past_nine_reads_back(tmp_path):
+    path = tmp_path / "m11.alg"
+    result = run_cli("build", "matn", "--n", "11", "--coeff", "GF:3", "-o", str(path))
+    assert result.returncode == 0, result.stderr
+    table = read_algebra(path.read_text())
+    scalars = AlgebraTable(F3, 1, {(0, 0, 0): 1}, labels=("s",), unit=[1])
+    assert table == matrix_algebra(scalars, 11)
+    assert table.labels[:12] == ("e1.1", "e1.2", "e1.3", "e1.4", "e1.5", "e1.6",
+                                 "e1.7", "e1.8", "e1.9", "e1.10", "e1.11", "e2.1")
+    assert len(set(table.labels)) == 121
+
+
+def test_matrix_labels_up_to_nine_join_the_indices():
+    scalars = AlgebraTable(F3, 1, {(0, 0, 0): 1}, labels=("s",), unit=[1])
+    assert matrix_algebra(scalars, 9).labels[-2:] == ("e98", "e99")
+    assert matrix_algebra(scalars, 10).labels[-2:] == ("e10.9", "e10.10")
+
+
 def test_build_plus_of_matrix_file(workdir):
     result = run_cli("build", "plus", str(workdir / "m2.alg"))
     assert result.returncode == 0

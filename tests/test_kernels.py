@@ -5,7 +5,9 @@ GF(p)); `_rref_mod_np` works on numpy arrays over every GF(p), in int64
 below 2^31 and in object dtype from there on.  These tests compare the
 kernels with each other and with sympy, pin the derivation maps the
 numpy kernel produces, and check the exact fallbacks and self-checks
-around them.
+around them.  Property tests (hypothesis) compare the block-by-block
+GF(p) nullspace with exact elimination on block-diagonal systems given
+as arrays, rows and entry triples.
 """
 
 import hashlib
@@ -13,21 +15,33 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import jordanalg
 from jordanalg import derivations, linalg
+from jordanalg.algebra import check_identity
 from jordanalg.cli import main
-from jordanalg.constructions import diagonal_spin_factor
+from jordanalg.constructions import (
+    albert_type,
+    cayley_dickson,
+    diagonal_spin_factor,
+    matrix_algebra,
+)
 from jordanalg.derivations import derivation_space, is_derivation
 from jordanalg.errors import CertificationError
 from jordanalg.fields import RATIONALS, prime_field
 from jordanalg.linalg import (
     _NP_THRESHOLD,
+    Entries,
+    _nullspace_exact,
     _nullspace_mod_staged,
     _rref_mod_np,
     _rref_mod_py,
@@ -173,6 +187,193 @@ def test_albert_sample_map_files_are_pinned(tmp_path, capsys):
         assert main(["derivations", str(alg), "--sample", "--seed", str(seed), "-o", str(out)]) == 0
         assert capsys.readouterr().out.splitlines()[0] == "derivation space dimension 52"
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+# the same for the GF(7) Albert file built with --mu 1,2,3 --gamma 1,2,4,
+# taken before the Leibniz system was solved block by block
+ALBERT7_MAP_SHA256 = {
+    1: "19684169d2d35850a3955aafdd44de272285980963486ceb08f5841432312cef",
+    2: "c95a1677823c6888c000b23312d729e56b9c8f5e48115a22e17081627cf78a44",
+}
+
+
+def test_albert7_sample_map_files_are_pinned(tmp_path, capsys):
+    alg = tmp_path / "albert7.alg"
+    assert main(["build", "albert", "--field", "GF:7", "--mu", "1,2,3",
+                 "--gamma", "1,2,4", "-o", str(alg)]) == 0
+    for seed, digest in ALBERT7_MAP_SHA256.items():
+        out = tmp_path / f"d{seed}.map"
+        assert main(["derivations", str(alg), "--sample", "--seed", str(seed), "-o", str(out)]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "derivation space dimension 52"
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+# ---------------------------------------------------------------------------
+# the Leibniz system from its nonzero entries, solved block by block
+
+BLOCK_PRIMES = (3, 7, 2**31 + 11, 2**64 + 13)
+checked = settings(max_examples=60, deadline=None, database=None, derandomize=True)
+
+
+@st.composite
+def block_systems(draw):
+    """(p, rows, ncols): a block-diagonal system over GF(p) with its
+    columns permuted and its rows shuffled.  A block is triangular with a
+    nonzero diagonal (no null vector), of low rank, or random; zero rows
+    and repeated rows are mixed in."""
+    p = draw(st.sampled_from(BLOCK_PRIMES))
+    widths = draw(st.lists(st.integers(1, 5), min_size=1, max_size=6))
+    ncols = sum(widths)
+    perm = draw(st.permutations(range(ncols)))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    rows = []
+    lo = 0
+    for w in widths:
+        cols = perm[lo : lo + w]
+        lo += w
+        kind = draw(st.sampled_from(("triangular", "low_rank", "random")))
+        if kind == "triangular":
+            local = [[0] * i + [rng.randrange(1, p)] + [rng.randrange(p) for _ in range(w - i - 1)]
+                     for i in range(w)]
+        elif kind == "low_rank":
+            local = _low_rank_rows(rng, draw(st.integers(1, 6)), w, draw(st.integers(1, w)), p)
+        else:
+            local = [[rng.randrange(p) for _ in range(w)] for _ in range(draw(st.integers(0, 4)))]
+        for row in local:
+            full = [0] * ncols
+            for c, v in zip(cols, row):
+                full[c] = v
+            rows.append(full)
+    rows += [[0] * ncols for _ in range(draw(st.integers(1, 3)))]
+    rows += [list(rows[rng.randrange(len(rows))]) for _ in range(draw(st.integers(0, 4)))]
+    rng.shuffle(rows)
+    return p, rows, ncols
+
+
+def _as_triples(rng, rows, ncols, p):
+    """The rows as shuffled entry triples: every nonzero entry split in
+    two values that are not residues, and on each row one pair of
+    triples that cancel mod p in a random cell."""
+    triples = []
+    for i, row in enumerate(rows):
+        for j, v in enumerate(row):
+            if v:
+                x = rng.randrange(p)
+                triples += [(i, j, x - p), (i, j, v - x + p * rng.randrange(3))]
+        j, y = rng.randrange(ncols), rng.randrange(1, p)
+        triples += [(i, j, y), (i, j, -y)]
+    rng.shuffle(triples)
+    r, c, v = zip(*triples)
+    dtype = object if 3 * p >= 2**63 else np.int64
+    return Entries((len(rows), ncols), np.array(r), np.array(c), np.array(v, dtype=dtype))
+
+
+@checked
+@given(block_systems(), st.integers(0, 2**32))
+def test_block_nullspace_matches_exact_elimination(system, seed):
+    p, rows, ncols = system
+    expected = _nullspace_exact(prime_field(p), [list(r) for r in rows], ncols)
+    inputs = [rows, np.array(rows, dtype=object), _as_triples(random.Random(seed), rows, ncols, p)]
+    if max(max(row) for row in rows) < 2**63:
+        inputs.append(np.array(rows, dtype=np.int64))
+    # a threshold of 0 splits every system into blocks; the default keeps
+    # these small ones whole
+    for threshold in (0, _NP_THRESHOLD):
+        with mock.patch.object(linalg, "_NP_THRESHOLD", threshold):
+            for chunk in (5, 3000):
+                for m in inputs:
+                    assert _nullspace_mod_staged(m, p, chunk).tolist() == expected
+
+
+def test_staged_nullspace_takes_int64_input_at_primes_past_int64():
+    p = 2**64 + 13
+    expected = _nullspace_exact(prime_field(p), [[1, 2, 3], [0, 0, 0]], 3)
+    assert len(expected) == 2
+    dense = np.array([[1, 2, 3], [0, 0, 0]], dtype=np.int64)
+    triples = Entries((2, 3), np.zeros(3, dtype=np.int64), np.arange(3), np.arange(1, 4))
+    for threshold in (0, _NP_THRESHOLD):
+        with mock.patch.object(linalg, "_NP_THRESHOLD", threshold):
+            assert _nullspace_mod_staged(dense, p).tolist() == expected
+            assert _nullspace_mod_staged(triples, p).tolist() == expected
+
+
+def test_block_nullspace_of_a_tall_system_with_many_blocks():
+    # past _NP_THRESHOLD cells: 30 blocks of 4 columns, rank 2 each
+    p = 7
+    rng = random.Random(7106)
+    perm = list(range(120))
+    rng.shuffle(perm)
+    rows = []
+    for b in range(30):
+        for local in _low_rank_rows(rng, 5, 4, 2, p):
+            full = [0] * 120
+            for c, v in zip(perm[4 * b : 4 * b + 4], local):
+                full[c] = v
+            rows.append(full)
+    assert len(rows) * 120 > _NP_THRESHOLD
+    staged = _nullspace_mod_staged(rows, p, chunk=7)
+    assert staged.shape == (60, 120)
+    assert staged.tolist() == _nullspace_exact(prime_field(p), rows, 120)
+
+
+def _dense_leibniz_rows(table):
+    """The Leibniz system as one dense block per pair (the construction
+    the entry triples replace)."""
+    c, _ = table.structure_int_tensor()
+    n = table.dim
+    if check_identity(table, "commutative"):
+        pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    else:
+        pairs = [(i, j) for i in range(n) for j in range(n)]
+    system = np.zeros((len(pairs), n, n, n), dtype=c.dtype)
+    diag = np.arange(n)
+    for t, (i, j) in enumerate(pairs):
+        blk = system[t]
+        blk[diag, diag, :] += c[i, j, :]
+        blk[:, :, i] -= c[:, j, :].T
+        blk[:, :, j] -= c[i, :, :].T
+    return system.reshape(len(pairs) * n, n * n)
+
+
+LEIBNIZ_TABLES = {
+    "spin-gf3": lambda: diagonal_spin_factor(prime_field(3), [1, 1, 1]),
+    "spin-gf5-degenerate": lambda: diagonal_spin_factor(prime_field(5), [1, 2, 0, 3]),
+    "spin-gf7": lambda: diagonal_spin_factor(prime_field(7), [1, 3, 5]),
+    "spin-q": lambda: diagonal_spin_factor(RATIONALS, [Fraction(1, 2), 1, -3]),
+    "m2-spin-gf3": lambda: matrix_algebra(diagonal_spin_factor(prime_field(3), [1]), 2),
+    "octonions-q": lambda: cayley_dickson(RATIONALS, [-1, -1, -1])[0],
+}
+
+
+@pytest.mark.parametrize("name", LEIBNIZ_TABLES)
+def test_leibniz_entries_and_basis_match_the_dense_system(name):
+    table = LEIBNIZ_TABLES[name]()
+    dense = _dense_leibniz_rows(table)
+    n = table.dim
+    c, _ = table.structure_int_tensor()
+    if check_identity(table, "commutative"):
+        pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    else:
+        pairs = [(i, j) for i in range(n) for j in range(n)]
+    system = derivations._leibniz_entries(c, pairs)
+    assert np.array_equal(system.dense(c.dtype), dense)
+    f = table.field
+    rows = [[f.coerce(int(x)) for x in row] for row in dense.tolist()]
+    expected = _nullspace_exact(f, rows, n * n)
+    assert [list(sum(m.matrix.rows, ())) for m in derivation_space(table).basis] == expected
+
+
+def test_albert_derivation_space_allocates_no_dense_system():
+    # the dense system would be 10,206 x 729 int64 entries, about 60 MB
+    table = albert_type(prime_field(7), [1, 2, 3], [1, 2, 4])
+    tracemalloc.start()
+    try:
+        space = derivation_space(table)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert space.dim == 52
+    assert peak < 16 * 2**20
 
 
 def test_crt_nullspace_falls_back_to_exact_elimination(monkeypatch):
