@@ -60,7 +60,7 @@ def _combine_terms(p: int | None, terms, vectors) -> dict:
         for r, v in vectors[k]:
             acc[r] = acc.get(r, 0) + c * v
     if p:
-        acc = {r: v % p for r, v in acc.items()}
+        return {r: w for r, v in acc.items() if (w := v % p)}
     return {r: v for r, v in acc.items() if v}
 
 
@@ -86,22 +86,16 @@ class AlgebraTable:
             raise BadParameters("dimension must be positive")
         self.field = field
         self.dim = dim
+        coerce = field.coerce
         rows: dict[tuple[int, int], list[tuple[int, RawScalar]]] = {}
         for (i, j, k), value in entries.items():
             if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
                 raise BadParameters(f"structure index ({i},{j},{k}) out of range")
-            v = field.coerce(value)
-            if not v:
-                continue
-            rows.setdefault((i, j), []).append((k, v))
-        for key, pairs in rows.items():
-            seen = set()
-            for k, _ in pairs:
-                if k in seen:
-                    raise BadParameters(f"duplicate structure constant at {key + (k,)}")
-                seen.add(k)
-            pairs.sort()
-        self._rows = {key: tuple(pairs) for key, pairs in rows.items()}
+            v = coerce(value)
+            if v:
+                rows.setdefault((i, j), []).append((k, v))
+        # a Mapping holds one value per (i, j, k), so no k repeats in a row
+        self._rows = {key: tuple(sorted(pairs)) for key, pairs in rows.items()}
         if labels is not None:
             labels = tuple(labels)
             if len(labels) != dim:

@@ -56,16 +56,13 @@ class AlbertMeta:
 
 def plus_algebra(table: AlgebraTable) -> AlgebraTable:
     """Same space with the symmetrized product x o y = (xy + yx) / 2."""
-    f = table.field
-    half = f.half()
+    half = table.field.half()
     acc: dict[tuple[int, int, int], RawScalar] = {}
     for i, j, k, v in table.sc_items():
         for key in ((i, j, k), (j, i, k)):
-            prev = acc.get(key, f.zero())
-            acc[key] = f.add(prev, f.mul(half, v))
-    return AlgebraTable(
-        f, table.dim, acc, labels=table.labels, unit=table.unit_coords()
-    )
+            acc[key] = acc.get(key, 0) + v
+    entries = {key: half * v for key, v in acc.items()}
+    return AlgebraTable(table.field, table.dim, entries, labels=table.labels, unit=table.unit_coords())
 
 
 def involution_check(table: AlgebraTable, sigma: LinearMap) -> bool:
@@ -73,9 +70,11 @@ def involution_check(table: AlgebraTable, sigma: LinearMap) -> bool:
 
     Works on the sparse columns of sigma (column j is sigma(b_j)) and on
     the table's nonzero structure rows: the square is checked column by
-    column, and for each basis pair sigma(b_i b_j) and sigma(b_j) sigma(b_i)
-    are compared as their nonzero coordinates, so no dense vector is
-    formed.  Every step is exact field arithmetic.
+    column, and sigma(b_i b_j) and sigma(b_j) sigma(b_i) are compared as
+    their nonzero coordinates, so no dense vector is formed.  Only the
+    pairs where a side can be nonzero are visited: b_i b_j != 0, or
+    b_a b_b != 0 for some a in supp sigma(b_j) and b in supp sigma(b_i).
+    Every step is exact field arithmetic.
     """
     if sigma.algebra is not table and sigma.algebra != table:
         return False
@@ -87,11 +86,14 @@ def involution_check(table: AlgebraTable, sigma: LinearMap) -> bool:
     for j in range(n):
         if _combine_terms(p, cols[j], cols) != {j: one}:
             return False
-    for i in range(n):
-        for j in range(n):
-            lhs = _combine_terms(p, table._rows.get((i, j), ()), cols)
-            if lhs != table._mul_terms(cols[j], cols[i]):
-                return False
+    # support[a] lists the j with a in supp sigma(b_j)
+    support = [[j for j, v in enumerate(row) if v] for row in rows]
+    pairs = set(table._rows)
+    pairs.update((i, j) for a, b in table._rows for j in support[a] for i in support[b])
+    for i, j in pairs:
+        lhs = _combine_terms(p, table._rows.get((i, j), ()), cols)
+        if lhs != table._mul_terms(cols[j], cols[i]):
+            return False
     return True
 
 
@@ -105,15 +107,17 @@ def hermitian_subalgebra(table: AlgebraTable, sigma: LinearMap) -> tuple[Algebra
     """
     if not involution_check(table, sigma):
         raise NotAnInvolution("map is not an involution of the table")
-    fixed, entries, unit = _fixed_structure(table, sigma)
+    fixed, entries, unit = _fixed_structure(table, sigma, table._mul_terms)
     sub = AlgebraTable(table.field, fixed.dim, entries, unit=unit)
     return sub, Matrix._wrap(table.field, zip(*fixed.basis))
 
 
-def _fixed_structure(table: AlgebraTable, sigma: LinearMap) -> tuple[Subspace, dict, tuple | None]:
+def _fixed_structure(table: AlgebraTable, sigma: LinearMap, product) -> tuple[Subspace, dict, tuple | None]:
     """The fixed space of a sigma the caller has already verified, the
-    structure constants of the table's product on its canonical basis,
-    and the coordinates of the table's unit (None without one).
+    structure constants of `product` on its canonical basis, and the
+    coordinates of the table's unit (None without one).  `product` maps
+    two vectors given as (index, raw value) terms to the nonzero
+    coordinates of their product, like `AlgebraTable._mul_terms`.
 
     The basis is in reduced echelon form, so a vector of the space has
     its entries at the pivots as coordinates.  Every product of basis
@@ -129,7 +133,7 @@ def _fixed_structure(table: AlgebraTable, sigma: LinearMap) -> tuple[Subspace, d
     entries = {}
     for a, x in enumerate(basis):
         for b, y in enumerate(basis):
-            prod = table._mul_terms(x, y)
+            prod = product(x, y)
             coords = [(slot[r], v) for r, v in prod.items() if r in slot]
             if _combine_terms(f.p, coords, basis) != prod:
                 raise NotClosed("fixed space is not closed under the product")
@@ -372,10 +376,16 @@ def albert_type(field: Field, mus: Sequence, gammas: Sequence) -> AlgebraTable:
     coeff, conj_map = cayley_dickson(field, mus)
     c3 = matrix_algebra(coeff, 3)
     sigma = gamma_involution(c3, gammas, conj_map.matrix)
-    sym = plus_algebra(c3)
-    # an anti-automorphism of c3 is an automorphism of c3^+, so the
-    # check gamma_involution made already covers sym
-    fixed, entries, unit = _fixed_structure(sym, LinearMap(sym, sigma.matrix))
+    rows = c3._rows
+    half = field.half()
+
+    def jordan_product(xs, ys):
+        # x o y = (xy + yx) / 2 from c3's rows: sigma, an anti-automorphism
+        # of c3, preserves it, and c3's unit is its unit
+        terms = [(key, half * a * b) for i, a in xs for j, b in ys for key in ((i, j), (j, i)) if key in rows]
+        return _combine_terms(field.p, terms, rows)
+
+    fixed, entries, unit = _fixed_structure(c3, sigma, jordan_product)
     if fixed.dim != 27:
         raise NotClosed(f"hermitian fixed space has dimension {fixed.dim}, expected 27")
 

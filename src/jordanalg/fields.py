@@ -101,6 +101,8 @@ class Field:
 
     def coerce(self, value) -> RawScalar:
         """Normalize an int, Fraction or Scalar into this field's raw form."""
+        if type(value) is int:
+            return self.from_int(value)
         if isinstance(value, Scalar):
             if value.field != self:
                 raise FieldMismatch(f"scalar from {value.field} used in {self}")

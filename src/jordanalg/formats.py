@@ -30,7 +30,7 @@ from .constructions import (
     cayley_dickson,
     spin_factor,
 )
-from .errors import ParseError
+from .errors import NotUnital, ParseError
 from .fields import Field, parse_field
 from .linalg import Matrix
 
@@ -197,7 +197,10 @@ def read_algebra(text: str) -> AlgebraTable:
         if key in entries:
             raise ParseError(f"line {lineno}: duplicate constant for {i} {j} {k}")
         entries[key] = field.parse_raw(sv)
-    table = AlgebraTable(field, dim, entries, labels=labels, unit=unit)
+    try:
+        table = AlgebraTable(field, dim, entries, labels=labels, unit=unit)
+    except NotUnital as exc:
+        raise ParseError("unit line fails the unit laws") from exc
     if meta is None:
         return table
     rebuilt = _rebuild_from_meta(field, meta[0], meta[1], table)

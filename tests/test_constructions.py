@@ -404,6 +404,22 @@ def test_involution_check_matches_dense_reference(field):
     assert True in verdicts[1:] and verdicts.count(False) > len(maps) // 2
 
 
+@pytest.mark.parametrize("field", [F5, RATIONALS], ids=["GF5", "Q"])
+def test_involution_check_visits_pairs_reached_through_sigma(field):
+    # b0 b0 = b2 is the only product; sigma fixes b0 and b2 and sends b1
+    # to b0 - b1, so sigma^2 = id and the law holds on the one nonzero row
+    t = AlgebraTable(field, 3, {(0, 0, 2): 1})
+    sigma = LinearMap(t, Matrix(field, [[1, 1, 0], [0, -1, 0], [0, 0, 1]]))
+    assert sigma.compose(sigma) == LinearMap.identity(t)
+    b0 = t.basis_element(0)
+    assert sigma(b0 * b0) == sigma(b0) * sigma(b0)
+    # b1 b1 = 0, but sigma(b1) sigma(b1) = b0 b0 = b2
+    b1 = t.basis_element(1)
+    assert sigma(b1 * b1) != sigma(b1) * sigma(b1)
+    assert involution_check(t, sigma) is False
+    assert _dense_involution_reference(t, sigma) is False
+
+
 # ---------------------------------------------------------------------------
 # the sparse paths against dense references, on tables moved to a random
 # basis so that sigma and the fixed basis are dense

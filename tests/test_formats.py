@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from jordanalg import cli
 from jordanalg.algebra import AlgebraTable, LinearMap, SplitNullMeta, split_null_extension
 from jordanalg.constructions import (
     AlbertMeta,
@@ -16,7 +17,7 @@ from jordanalg.constructions import (
     spin_factor,
 )
 from jordanalg.derivations import derivation_space, sample_derivation
-from jordanalg.errors import ParseError
+from jordanalg.errors import NotUnital, ParseError
 from jordanalg.fields import RATIONALS, prime_field
 from jordanalg.formats import (
     format_element,
@@ -274,3 +275,62 @@ def test_element_coordinate_count_checked():
     spin = diagonal_spin_factor(F3, [1, 1])
     with pytest.raises(ParseError, match="3 coordinates"):
         parse_element(spin, "1 2")
+
+
+# ---------------------------------------------------------------------------
+# mutated Albert files: the replay of the meta line must reject every one
+
+
+def _mutate_sc_line(lines, kind, field, rng):
+    """Lines of an algebra file with one sc line changed: its value
+    shifted (kind "value"), the line dropped ("drop"), or two of its
+    distinct indices swapped ("swap")."""
+    sc = [n for n, line in enumerate(lines) if line.startswith("sc ")]
+    while True:
+        n = rng.choice(sc)
+        _, i, j, k, value = lines[n].split()
+        if kind == "drop":
+            return lines[:n] + lines[n + 1:]
+        if kind == "value":
+            shifted = Fraction(value) + rng.randrange(1, field.p or 5)
+            return lines[:n] + [f"sc {i} {j} {k} {shifted}"] + lines[n + 1:]
+        idx = [i, j, k]
+        a, b = rng.sample(range(3), 2)
+        if idx[a] != idx[b]:
+            idx[a], idx[b] = idx[b], idx[a]
+            return lines[:n] + ["sc " + " ".join(idx + [value])] + lines[n + 1:]
+
+
+@pytest.mark.parametrize(
+    "field, mus, gammas",
+    [(F5, (2, 3, 1), (1, 2, 4)), (F7, (3, 5, 6), (1, 3, 2)), (RATIONALS, (-1, 2, -3), (1, -1, 2))],
+    ids=["GF5", "GF7", "Q"],
+)
+def test_mutated_albert_file_is_rejected(tmp_path, capsys, field, mus, gammas):
+    lines = write_algebra(albert_type(field, mus, gammas)).splitlines()
+    rng = random.Random(f"mutate-albert-{field}")
+    path = tmp_path / "mutated.alg"
+    for m in range(10):
+        text = "\n".join(_mutate_sc_line(lines, ("value", "drop", "swap")[m % 3], field, rng)) + "\n"
+        with pytest.raises(ParseError):
+            read_algebra(text)
+        path.write_text(text)
+        assert cli.main(["check", str(path), "--which", "jordan"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_unit_line_that_breaks_the_unit_laws_is_a_parse_error(tmp_path, capsys):
+    text = write_algebra(albert_type(F5, (2, 3, 1), (1, 2, 4)))
+    # e11 e11 = 2 e11 no longer fixes e11 under the unit e11 + e22 + e33
+    bad = text.replace("sc 1 1 1 1\n", "sc 1 1 1 2\n")
+    assert bad != text
+    with pytest.raises(ParseError, match="unit laws"):
+        read_algebra(bad)
+    path = tmp_path / "bad-unit.alg"
+    path.write_text(bad)
+    assert cli.main(["check", str(path)]) == 2
+    assert capsys.readouterr().err == "error: unit line fails the unit laws\n"
+    # the library constructor keeps its own error
+    with pytest.raises(NotUnital):
+        AlgebraTable(F5, 1, {(0, 0, 0): 2}, unit=[1])
