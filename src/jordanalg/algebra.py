@@ -38,6 +38,7 @@ from .linalg import (
     _int_image,
     combine_raw,
     solve_raw,
+    spin_closure,
 )
 
 
@@ -241,11 +242,13 @@ class AlgebraTable:
     def structure_int_tensor(self) -> tuple[np.ndarray, int]:
         """The table as an integer numpy tensor C[i, j, k], with the
         denominator scale that was multiplied in (1 over GF(p)); see
-        `linalg._int_image`."""
+        `linalg._int_image`.  Its 8 n^3 bytes are refused past
+        JORDAN_BYTE_CAP."""
         cached = self._cache.get("int_tensor")
         if cached is not None:
             return cached
         n = self.dim
+        _refuse_over_cap("the structure tensor", n, 8 * n**3)
         # the image of the nonzero constants, scattered into zeros: zeros
         # change neither the denominator lcm nor the largest entry
         flat, values = [], []
@@ -470,10 +473,14 @@ def _check_commutative(table: AlgebraTable) -> bool:
 
 def _check_associative(table: AlgebraTable) -> bool:
     """(b_i b_j) b_k = b_i (b_j b_k) on all basis triples, compared
-    coordinate by coordinate for a block of i at a time."""
+    coordinate by coordinate for a block of i at a time.  Past 101
+    dimensions a block is one i, whose arrays of n^3 entries peak at
+    about four at a time, 8 bytes an entry; a check that would pass
+    JORDAN_BYTE_CAP is refused before they are allocated."""
+    n = table.dim
+    _refuse_over_cap("the associativity check", n, 4 * n**3 * 8)
     c, _ = table.structure_int_tensor()
     p = table.field.p
-    n = table.dim
     flat = c.reshape(n * n, n)
     chunk = max(1, (1 << 20) // max(1, n * n * n))
     for lo in range(0, n, chunk):
@@ -487,14 +494,25 @@ def _check_associative(table: AlgebraTable) -> bool:
     return True
 
 
-# Largest work area, in bytes, that the Jordan check allocates: the same
-# 2^30 as derivations.LEIBNIZ_BYTE_CAP.  Its arrays of n^4 entries peak at
-# about seven at a time (a tracemalloc peak of 6.9 on 16- to 36-dim
-# tables), 8 bytes an entry on the float64 and int64 paths; the object
-# path's Python ints come on top.  The 27-dim Albert check takes about
-# 30 MB; a 72-dim one would take 1.5 GB and is refused with CapExceeded.
+# Largest work area, in bytes, that the structure tensor and the identity
+# checks allocate: the same 2^30 as derivations.LEIBNIZ_BYTE_CAP.  The
+# Jordan check's arrays of n^4 entries peak at about seven at a time (a
+# tracemalloc peak of 6.9 on 16- to 36-dim tables), 8 bytes an entry on
+# the float64 and int64 paths; the object path's Python ints come on top.
+# The 27-dim Albert check takes about 30 MB; a 72-dim one would take
+# 1.5 GB and is refused with CapExceeded.
 JORDAN_BYTE_CAP = 2**30
 _JORDAN_ARRAYS = 7
+
+
+def _refuse_over_cap(what: str, n: int, size: int):
+    """CapExceeded when `what` of an n-dim table needs a work area of more
+    than JORDAN_BYTE_CAP bytes; called before anything is allocated."""
+    if size > JORDAN_BYTE_CAP:
+        raise CapExceeded(
+            f"{what} of a {n}-dim table needs {size} bytes, "
+            f"over the cap of {JORDAN_BYTE_CAP}"
+        )
 
 
 def _check_jordan(table: AlgebraTable) -> bool:
@@ -515,12 +533,7 @@ def _check_jordan(table: AlgebraTable) -> bool:
     if not check_identity(table, "commutative"):
         return False
     n = table.dim
-    size = _JORDAN_ARRAYS * n**4 * 8
-    if size > JORDAN_BYTE_CAP:
-        raise CapExceeded(
-            f"the Jordan check of a {n}-dim table needs {size} bytes, "
-            f"over the cap of {JORDAN_BYTE_CAP}"
-        )
+    _refuse_over_cap("the Jordan check", n, _JORDAN_ARRAYS * n**4 * 8)
     c, _ = table.structure_int_tensor()
     p = table.field.p
 
@@ -592,6 +605,21 @@ def _products(table: AlgebraTable, vec, sides: tuple[str, ...]):
         yield from zip(*table.mult_operator(vec, side))
 
 
+def _dual_products(table: AlgebraTable, z, sides: tuple[str, ...]):
+    """The functionals x -> z(b_a x) and, when side "right" is asked for,
+    x -> z(x b_b): the rows and columns of S_z[a][b] = z(b_a b_b), formed
+    in one pass over the structure rows."""
+    f, n = table.field, table.dim
+    p = f.p
+    s = [[f.zero()] * n for _ in range(n)]
+    for (i, j), pairs in table._rows.items():
+        v = sum(z[k] * c for k, c in pairs)
+        s[i][j] = v % p if p else v
+    yield from s
+    if "right" in sides:
+        yield from zip(*s)
+
+
 def is_ideal(table: AlgebraTable, space: Subspace) -> bool:
     """Whether the subspace is a two-sided ideal of the table."""
     if space.ambient != table.dim:
@@ -601,35 +629,13 @@ def is_ideal(table: AlgebraTable, space: Subspace) -> bool:
 
 
 def ideal_closure(table: AlgebraTable, space: Subspace) -> Subspace:
-    """Smallest ideal containing the subspace, by spinning (Parker's
-    Meat-Axe closure): a semi-echelon basis with pivots 1 grows from the
-    subspace's basis, each row is multiplied by every basis element once,
-    and a product that does not reduce to zero against the rows so far
-    becomes a new row.  Stops early at the whole algebra."""
+    """Smallest ideal containing the subspace: its spin under the products
+    with every basis element (`linalg.spin_closure`), which stops early
+    at the whole algebra."""
     if space.ambient != table.dim:
         raise BadParameters("subspace ambient differs from algebra dimension")
-    f, n = table.field, table.dim
     sides = _product_sides(table)
-    rows = list(space.basis)
-    pivots = list(space.pivots)
-    # rows appended below are multiplied in turn: the tail of rows is the queue
-    for vec in rows:
-        if len(rows) == n:
-            break
-        for product in _products(table, vec, sides):
-            for pivot, row in zip(pivots, rows):
-                c = product[pivot]
-                if c:
-                    product = combine_raw(f, (1, -c), (product, row))
-            pivot = next((k for k, x in enumerate(product) if x), None)
-            if pivot is None:
-                continue
-            inv = f.inv(product[pivot])
-            rows.append(product if inv == 1 else combine_raw(f, (inv,), (product,)))
-            pivots.append(pivot)
-            if len(rows) == n:
-                break
-    return Subspace.full(f, n) if len(rows) == n else Subspace._wrap(f, n, rows)
+    return spin_closure(space, lambda vec: _products(table, vec, sides))
 
 
 def _product_space(table: AlgebraTable, a: Subspace, b: Subspace) -> Subspace:

@@ -237,15 +237,8 @@ def cayley_dickson(field: Field, mus: Sequence) -> tuple[AlgebraTable, LinearMap
     conj = Matrix.identity(field, 1)
     for mu in raw_mus:
         table, conj = _double(table, conj, mu)
-    final = AlgebraTable(
-        field,
-        table.dim,
-        {(i, j, k): v for i, j, k, v in table.sc_items()},
-        labels=table.labels,
-        unit=table.unit_coords(),
-        meta=CDMeta(mus=raw_mus, conj=conj),
-    )
-    return final, LinearMap(final, conj)
+    table.meta = CDMeta(mus=raw_mus, conj=conj)
+    return table, LinearMap(table, conj)
 
 
 def _cd_meta(table: AlgebraTable) -> CDMeta:

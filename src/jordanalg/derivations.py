@@ -28,6 +28,7 @@ from .algebra import (
     SplitNullMeta,
     _invert_coords,
     _inversion_kind,
+    _dual_products,
     _product_sides,
     check_identity,
     ideal_closure,
@@ -67,6 +68,7 @@ from .linalg import (
     diagonalize_symmetric_form,
     dot_raw,
     nullspace_int_crt,
+    spin_closure,
 )
 
 
@@ -189,17 +191,17 @@ def derivation_space(table: AlgebraTable) -> DerivationSpace:
         return cached
     f = table.field
     n = table.dim
-    c, _ = table.structure_int_tensor()
     if check_identity(table, "commutative"):
         pairs = [(i, j) for i in range(n) for j in range(i, n)]
     else:
         pairs = [(i, j) for i in range(n) for j in range(n)]
-    size = len(pairs) * n**3 * c.itemsize
+    size = len(pairs) * n**3 * 8
     if size > LEIBNIZ_BYTE_CAP:
         raise CapExceeded(
             f"the Leibniz system of a {n}-dim table needs {size} bytes, "
             f"over the cap of {LEIBNIZ_BYTE_CAP}"
         )
+    c, _ = table.structure_int_tensor()
     system = _leibniz_entries(c, pairs)
     if f.is_rational:
         basis = nullspace_int_crt(system.dense(c.dtype), n * n)
@@ -597,35 +599,19 @@ def albert_div_witness(table: AlgebraTable, dmap: LinearMap) -> Element | None:
 def largest_ideal_in_kernel(table: AlgebraTable, dmap: LinearMap) -> Subspace:
     """The largest ideal contained in ker D (the sum of all of them).
 
-    Starting from the kernel, vectors whose products with the whole
-    algebra escape the current space are cut until nothing changes.
+    It is the annihilator of the smallest space of functionals that holds
+    the annihilator of ker D and is closed under z -> z o L_b and
+    z -> z o R_b: the spin (`linalg.spin_closure`) of those functionals
+    under `_dual_products`.
     """
     if not is_derivation(table, dmap):
         raise NotADerivation("map fails the Leibniz rule")
-    f = table.field
-    n = table.dim
-    sides = _product_sides(table)
-    space = dmap.kernel()
-    while space.dim:
-        dual = space.annihilator()
-        if dual.dim == 0:
-            break
-        ops = {side: [table.mult_operator(w, side) for w in space.basis] for side in sides}
-        rows = []
-        for j in range(n):
-            for z in dual.basis:
-                for side in sides:
-                    # z applied to w * b_j (left) or b_j * w (right), per w
-                    rows.append([dot_raw(f, z, [r[j] for r in op]) for op in ops[side]])
-        coeff_space = Matrix._wrap(f, rows).nullspace()
-        refined_vectors = [combine_raw(f, coeffs, space.basis) for coeffs in coeff_space.basis]
-        refined = Subspace._wrap(f, n, refined_vectors)
-        if refined.dim == space.dim:
-            break
-        space = refined
-    certify(is_ideal(table, space), "fixpoint must be an ideal")
     kernel = dmap.kernel()
-    certify(all(kernel.contains_vector(v) for v in space.basis), "fixpoint must lie in the kernel")
+    sides = _product_sides(table)
+    dual = spin_closure(kernel.annihilator(), lambda z: _dual_products(table, z, sides))
+    space = dual.annihilator()
+    certify(is_ideal(table, space), "largest kernel ideal must be an ideal")
+    certify(all(kernel.contains_vector(v) for v in space.basis), "largest kernel ideal must lie in the kernel")
     return space
 
 
@@ -652,28 +638,20 @@ def simplicity_scan(
     """
     f = table.field
     n = table.dim
-    if n == 0:
-        return "simple"
-    if not f.is_rational:
-        count = (f.p**n - 1) // (f.p - 1)
-        if count > point_cap:
-            return "probably_simple"
-        for point in _projective_points(f, Subspace.full(f, n)):
-            closure = ideal_closure(table, Subspace(f, n, [point]))
-            if closure.dim != n:
-                return "not_simple"
-        return "simple"
-    vectors = [list(row) for row in Matrix.identity(f, n).rows]
-    rng = rng or random.Random(0)
-    for _ in range(samples):
-        vec = [f.coerce(rng.randint(-3, 3)) for _ in range(n)]
-        if any(vec):
-            vectors.append(vec)
-    for vec in vectors:
-        closure = ideal_closure(table, Subspace(f, n, [vec]))
-        if closure.dim != n:
+    if f.is_rational:
+        rng = rng or random.Random(0)
+        drawn = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(samples)]
+        points = _identity_raw(f, n) + [vec for vec in drawn if any(vec)]
+        verdict = "probably_simple"
+    elif (f.p**n - 1) // (f.p - 1) > point_cap:
+        return "probably_simple"
+    else:
+        points = _projective_points(f, Subspace.full(f, n))
+        verdict = "simple"
+    for point in points:
+        if ideal_closure(table, Subspace(f, n, [point])).dim != n:
             return "not_simple"
-    return "probably_simple"
+    return verdict
 
 
 def div_reduction(
@@ -693,15 +671,10 @@ def div_reduction(
     report = has_invertible_values(table, dmap, point_cap=point_cap)
     ideal = largest_ideal_in_kernel(table, dmap)
     quotient, projection = quotient_algebra(table, ideal)
-    f = table.field
-    n = table.dim
     pivots = set(ideal.pivots)
-    complement = [m for m in range(n) if m not in pivots]
-    cols = []
-    for m in complement:
-        image_col = [dmap.matrix.rows[r][m] for r in range(n)]
-        cols.append(list(projection.apply(image_col)))
-    induced = LinearMap(quotient, Matrix._wrap(f, zip(*cols)))
+    # the quotient basis sits at the non-pivot columns of the ideal
+    cols = [projection.apply(col) for m, col in enumerate(zip(*dmap.matrix.rows)) if m not in pivots]
+    induced = LinearMap(quotient, Matrix._wrap(table.field, zip(*cols)))
     certify(is_derivation(quotient, induced), "induced map must satisfy Leibniz")
     if report.verdict == "div":
         reduced_report = has_invertible_values(quotient, induced, point_cap=point_cap)
@@ -888,9 +861,10 @@ def enumerate_ideals(
 ) -> list[Subspace]:
     """Every ideal of a finite-field table, by brute force.
 
-    Each ideal is the sum of the principal closures of its points, so
-    closing the set of projective-point closures under pairwise sums
-    finds all of them.  Sorted by dimension, then by basis entries.
+    Each ideal is the sum of the principal closures of its points.  The
+    found set holds every sum of the closures met so far, so one pass that
+    adds each new closure to every ideal found so far finds all of them.
+    Sorted by dimension, then by basis entries.
     """
     f = table.field
     if f.is_rational:
@@ -899,25 +873,14 @@ def enumerate_ideals(
     count = (f.p**n - 1) // (f.p - 1)
     if count > point_cap:
         raise CapExceeded(f"{count} projective points exceed the cap {point_cap}")
-    found: dict[tuple, Subspace] = {}
     zero_space = Subspace.zero(f, n)
-    found[tuple(zero_space.basis)] = zero_space
+    found = {zero_space.basis: zero_space}
     for point in _projective_points(f, Subspace.full(f, n)):
         closure = ideal_closure(table, Subspace(f, n, [point]))
-        found.setdefault(tuple(closure.basis), closure)
-    while True:
-        fresh = []
-        spaces = list(found.values())
-        for a in spaces:
-            for b in spaces:
-                total = a.sum_with(b)
-                key = tuple(total.basis)
-                if key not in found:
-                    fresh.append((key, total))
-        if not fresh:
-            break
-        for key, total in fresh:
-            found[key] = total
+        if closure.basis not in found:
+            for ideal in list(found.values()):
+                total = ideal.sum_with(closure)
+                found.setdefault(total.basis, total)
     out = sorted(found.values(), key=lambda s: (s.dim, tuple(s.basis)))
     for space in out:
         certify(is_ideal(table, space), "enumerated subspace must be an ideal")

@@ -136,15 +136,18 @@ def read_algebra(text: str) -> AlgebraTable:
     entries = {}
     pending_sc = []
     pending_unit = None
+    seen = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         parts = line.split()
         word = parts[0]
+        if word in seen:
+            raise ParseError(f"line {lineno}: duplicate {word} line")
+        if word != "sc":
+            seen.add(word)
         if word == "field":
-            if field is not None:
-                raise ParseError(f"line {lineno}: duplicate field line")
             if parts[1:] == ["Q"]:
                 field = Field("Q")
             elif len(parts) == 3 and parts[1] == "GF":
@@ -152,22 +155,14 @@ def read_algebra(text: str) -> AlgebraTable:
             else:
                 raise ParseError(f"line {lineno}: bad field line {line!r}")
         elif word == "dim":
-            if dim is not None:
-                raise ParseError(f"line {lineno}: duplicate dim line")
             if len(parts) != 2:
                 raise ParseError(f"line {lineno}: bad dim line")
             dim = _parse_index(parts[1], "dimension")
         elif word == "basis":
-            if labels is not None:
-                raise ParseError(f"line {lineno}: duplicate basis line")
             labels = tuple(parts[1:])
         elif word == "unit":
-            if pending_unit is not None:
-                raise ParseError(f"line {lineno}: duplicate unit line")
             pending_unit = parts[1:]
         elif word == "meta":
-            if meta is not None:
-                raise ParseError(f"line {lineno}: duplicate meta line")
             if len(parts) < 2:
                 raise ParseError(f"line {lineno}: empty meta line")
             meta = (parts[1], parts[2:])

@@ -834,6 +834,36 @@ class Subspace:
         return all(self.contains_vector(row) for row in other.basis)
 
 
+def spin_closure(space: Subspace, images) -> Subspace:
+    """Smallest subspace containing `space` and closed under the vectors
+    that `images(v)` yields, by spinning (Parker's Meat-Axe closure): a
+    semi-echelon basis with pivots 1 grows from the space's basis, each
+    row's images are formed once, and an image that does not reduce to
+    zero against the rows so far becomes a new row.  Stops early at the
+    whole ambient space."""
+    f, n = space.field, space.ambient
+    rows = list(space.basis)
+    pivots = list(space.pivots)
+    # rows appended below get their images in turn: the tail of rows is the queue
+    for vec in rows:
+        if len(rows) == n:
+            break
+        for image in images(vec):
+            for pivot, row in zip(pivots, rows):
+                c = image[pivot]
+                if c:
+                    image = combine_raw(f, (1, -c), (image, row))
+            pivot = next((k for k, x in enumerate(image) if x), None)
+            if pivot is None:
+                continue
+            inv = f.inv(image[pivot])
+            rows.append(image if inv == 1 else combine_raw(f, (inv,), (image,)))
+            pivots.append(pivot)
+            if len(rows) == n:
+                break
+    return Subspace.full(f, n) if len(rows) == n else Subspace._wrap(f, n, rows)
+
+
 def rref(m: Matrix) -> tuple[Matrix, int, tuple[int, ...]]:
     return m.rref()
 

@@ -153,33 +153,18 @@ class _Run:
 
         return self._get("matrixpairs", build)
 
-    def div_examples(self):
+    def div_examples(self, *, nondegenerate: bool = False):
         """Every (table, derivation) pair this suite certifies as having
         invertible values: the constructed spin maps over GF(3) and the
-        two matrix-algebra maps."""
+        two matrix-algebra maps.  With `nondegenerate`, sweep hits on
+        forms with a zero diagonal entry are dropped: the zero directions
+        span a nonzero ideal inside every kernel, so only nondegenerate
+        forms can have a trivial kernel ideal."""
         pairs = [self.spin_gf3_div()]
         for diag, table, _, hits in self.gf3_form_records():
-            for hit in hits:
-                pairs.append((table, hit.map))
-        assoc, sym = self.matrix_pairs()
-        pairs.append(assoc)
-        pairs.append(sym)
-        return pairs
-
-    def div_examples_nondegenerate(self):
-        """As div_examples, but sweep hits on forms with a zero diagonal
-        entry are dropped: the zero directions span a nonzero ideal
-        inside every kernel, so only nondegenerate forms can have a
-        trivial kernel ideal."""
-        pairs = [self.spin_gf3_div()]
-        for diag, table, _, hits in self.gf3_form_records():
-            if 0 in diag:
-                continue
-            for hit in hits:
-                pairs.append((table, hit.map))
-        assoc, sym = self.matrix_pairs()
-        pairs.append(assoc)
-        pairs.append(sym)
+            if not (nondegenerate and 0 in diag):
+                pairs.extend((table, hit.map) for hit in hits)
+        pairs.extend(self.matrix_pairs())
         return pairs
 
 
@@ -405,7 +390,7 @@ def _check_inner_div_matrix_pair(run: _Run):
 
 
 def _check_reduction_simple(run: _Run):
-    pairs = run.div_examples_nondegenerate()
+    pairs = run.div_examples(nondegenerate=True)
     for table, dmap in pairs:
         ideal = largest_ideal_in_kernel(table, dmap)
         if ideal.dim != 0:

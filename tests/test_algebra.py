@@ -371,6 +371,21 @@ def test_jordan_cap_bounds_the_check_size(monkeypatch):
     assert check_identity(small_spin_table(prime_field(5), [1, 2]), "jordan")
 
 
+def test_work_area_cap_refuses_the_tensor_and_the_associativity_check(monkeypatch):
+    t = m2_table(prime_field(5))
+    # four arrays of 4^3 entries of 8 bytes; the tensor takes one
+    size, tensor = 4 * 4**3 * 8, 4**3 * 8
+    monkeypatch.setattr(algebra, "JORDAN_BYTE_CAP", size - 1)
+    with pytest.raises(CapExceeded, match=f"associativity check of a 4-dim table needs {size} bytes"):
+        check_identity(t, "associative")
+    assert "int_tensor" not in t._cache
+    monkeypatch.setattr(algebra, "JORDAN_BYTE_CAP", tensor - 1)
+    with pytest.raises(CapExceeded, match=f"structure tensor of a 4-dim table needs {tensor} bytes"):
+        t.structure_int_tensor()
+    monkeypatch.setattr(algebra, "JORDAN_BYTE_CAP", size)
+    assert check_identity(t, "associative")
+
+
 def test_identity_checks_past_int64():
     t = diagonal_spin_factor(prime_field(2**64 + 13), [1, -1, 2])
     verdicts = [check_identity(t, which) for which in ("commutative", "associative", "jordan")]

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from jordanalg import algebra, cli
 from jordanalg.constructions import albert_type, diagonal_spin_factor, matrix_algebra
 from jordanalg.algebra import AlgebraTable
 from jordanalg.fields import prime_field
@@ -382,3 +383,19 @@ def test_verify_paper_timings_go_to_stderr_only():
     assert result.returncode == 0
     assert not re.search(r"\d+\.\d+s", result.stdout)
     assert any(line.startswith("# octonion-noncommutative") for line in result.stderr.splitlines())
+
+
+def test_oversized_work_area_exits_3(tmp_path, capsys, monkeypatch):
+    # a 4-dim table with one constant, not commutative: invert runs the
+    # associativity check, whose four arrays of 4^3 entries take 2048 bytes
+    path = tmp_path / "one-sc.alg"
+    path.write_text("field GF 5\ndim 4\nsc 1 2 1 1\n")
+    monkeypatch.setattr(algebra, "JORDAN_BYTE_CAP", 2047)
+    for argv in (["check", str(path), "--which", "associative"], ["invert", str(path), "1,0,0,0"]):
+        assert cli.main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error [CapExceeded]: the associativity check of a 4-dim table needs 2048 bytes, "
+            "over the cap of 2047\n"
+        )

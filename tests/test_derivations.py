@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from jordanalg import derivations
+from jordanalg import algebra, derivations
 from jordanalg.algebra import AlgebraTable, LinearMap, invert_element, split_null_extension
 from jordanalg.constructions import (
     albert_type,
@@ -166,6 +166,13 @@ def test_leibniz_cap_bounds_the_system_size(monkeypatch):
         derivation_space(diagonal_spin_factor(F3, [1, 1]))
     monkeypatch.setattr(derivations, "LEIBNIZ_BYTE_CAP", size)
     assert derivation_space(diagonal_spin_factor(F3, [1, 1])).dim == 1
+
+
+def test_leibniz_cap_is_checked_before_the_structure_tensor(monkeypatch):
+    monkeypatch.setattr(algebra, "JORDAN_BYTE_CAP", 0)
+    monkeypatch.setattr(derivations, "LEIBNIZ_BYTE_CAP", 0)
+    with pytest.raises(CapExceeded, match="the Leibniz system of a 3-dim table needs"):
+        derivation_space(diagonal_spin_factor(F3, [1, 1]))
 
 
 def _limit_address_space():
