@@ -7,8 +7,8 @@ algebra as structure constants c[i][j][k] (the coefficient of basis
 vector k in the product b_i * b_j), kept sparse as nonzero rows.  The
 commutative / associative / Jordan identity checks run on an integer
 numpy image of the table so that 27-dimensional examples finish in
-seconds; every product goes through `linalg._exact_matmul`, which picks
-a number path whose bound it checks, so no check ever rounds.
+seconds; every product runs on a number path that `linalg` picks from a
+bound it checks, so no check ever rounds.
 """
 
 from __future__ import annotations
@@ -36,6 +36,9 @@ from .linalg import (
     _exact_matmul,
     _identity_raw,
     _int_image,
+    _is_zero_mod,
+    _magnitude,
+    _sum_path,
     combine_raw,
     solve_raw,
     spin_closure,
@@ -495,12 +498,8 @@ def _check_associative(table: AlgebraTable) -> bool:
 
 
 # Largest work area, in bytes, that the structure tensor and the identity
-# checks allocate: the same 2^30 as derivations.LEIBNIZ_BYTE_CAP.  The
-# Jordan check's arrays of n^4 entries peak at about seven at a time (a
-# tracemalloc peak of 6.9 on 16- to 36-dim tables), 8 bytes an entry on
-# the float64 and int64 paths; the object path's Python ints come on top.
-# The 27-dim Albert check takes about 30 MB; a 72-dim one would take
-# 1.5 GB and is refused with CapExceeded.
+# checks allocate (the 2^30 of derivations.LEIBNIZ_BYTE_CAP).  The Jordan
+# check is charged seven n^4 arrays of 8 bytes; it peaks near four.
 JORDAN_BYTE_CAP = 2**30
 _JORDAN_ARRAYS = 7
 
@@ -519,16 +518,17 @@ def _check_jordan(table: AlgebraTable) -> bool:
     """Fully multilinearized Jordan identity on all basis triples.
 
     For a commutative table the six-permutation linearization of
-    (x^2 y) x - x^2 (y x) collapses to the operator statement
-    [L_{ab}, L_c] + [L_{bc}, L_a] + [L_{ca}, L_b] = 0 on basis triples
-    (a, b, c), up to the factor -2, which is invertible in every
-    supported field.  That operator sum is what gets evaluated here,
-    from four matrix products per c.  Commutativity makes it symmetric
-    in (a, b, c), so only triples with a, b <= c are formed.  The sum
-    adds six products made with room for all six (over GF(p) a product
-    is left unreduced only where its dtype holds six), and over GF(p) it
-    is reduced once.  A check whose arrays would take more than
-    JORDAN_BYTE_CAP bytes is refused before they are allocated.
+    (x^2 y) x - x^2 (y x) collapses to McCrimmon's operator form
+    [L_{ab}, L_c] + [L_{bc}, L_a] + [L_{ca}, L_b] = 0 on basis triples,
+    up to the factor -2, invertible in every supported field.  One
+    product forms the commutator tensor K[m, z] = [L_m, L_z]; as
+    L_{ab} = sum_m c[a, b, m] L_m, two more per c give [L_{ab}, L_c] and
+    G[x, y] = [L_{cx}, L_y], and the sum [L_{ab}, L_c] + G + G^T, being
+    symmetric in (a, b, c), is formed for a, b <= c only.  The products,
+    their sum and the exact zero test stay on the number path that
+    `linalg._sum_path` picks; over GF(p) each product is reduced first
+    where that path cannot hold three.  Arrays over JORDAN_BYTE_CAP
+    bytes are refused before they are allocated.
     """
     if not check_identity(table, "commutative"):
         return False
@@ -536,32 +536,22 @@ def _check_jordan(table: AlgebraTable) -> bool:
     _refuse_over_cap("the Jordan check", n, _JORDAN_ARRAYS * n**4 * 8)
     c, _ = table.structure_int_tensor()
     p = table.field.p
-
-    def product(a, b):
-        return _exact_matmul(a, b, p, terms=6)
-
     t = c.transpose(0, 2, 1)  # t[i] is the left-multiplication matrix L_i
-    # u[i, j] = L_{b_i b_j}
-    u = _exact_matmul(c.reshape(n * n, n), t.reshape(n, n * n), p).reshape(n, n, n, n)
-    for k in range(n):
-        m = k + 1
-        tk = t[k]
-        ts = t[:m]
-        us = u[:m, :m]
-        v = u[:m, k]  # v[j] = L_{b_j b_k}
-        # L_ij L_k, L_k L_ij, L_jk L_i and L_i L_jk for i, j <= k, each in the
-        # axis order its product leaves; the transposes give (i, j, a, c).
-        # The two products of a commutator share one dtype, so it is formed
-        # in place.
-        # [L_{ij}, L_k]
-        term = product(us.reshape(m * m * n, n), tk).reshape(m, m, n, n)
-        term -= product(tk, us.transpose(2, 0, 1, 3).reshape(n, m * m * n)).reshape(n, m, m, n).transpose(1, 2, 0, 3)
-        # w[i, j] = [L_{jk}, L_i]; its (i, j)-swap is [L_{ik}, L_j]
-        w = product(v.reshape(m * n, n), ts.transpose(1, 0, 2).reshape(n, m * n)).reshape(m, n, m, n).transpose(2, 0, 1, 3)
-        w -= product(ts.reshape(m * n, n), v.transpose(1, 0, 2).reshape(n, m * n)).reshape(m, n, m, n).transpose(0, 2, 1, 3)
-        total = term + w
-        total += w.transpose(1, 0, 2, 3)
-        if np.any(total % p if p else total):
+    # K[m, z] = L_m L_z - L_z L_m, from residues over GF(p), so |K| < p there
+    k = _exact_matmul(t.reshape(n * n, n), t.transpose(1, 0, 2).reshape(n, n * n), p, terms=1 if p else 2)
+    k = k.reshape(n, n, n, n).transpose(0, 2, 1, 3)
+    k = k - k.transpose(1, 0, 2, 3)
+    dtype, reduce = _sum_path(n, _magnitude(c, p), _magnitude(k, p), p, 3)
+    c, k = c.astype(dtype), np.ascontiguousarray(k, dtype=dtype)
+    for z in range(n):
+        m = z + 1
+        total = (c[:m, :m].reshape(m * m, n) @ k[:, z].reshape(n, n * n)).reshape(m, m, n, n)
+        g = (c[z, :m] @ k[:, :m].reshape(n, m * n * n)).reshape(m, m, n, n)  # g[x, y] = [L_{zx}, L_y]
+        if reduce:
+            total, g = np.fmod(total, p), np.fmod(g, p)
+        total += g
+        total += g.transpose(1, 0, 2, 3)
+        if not _is_zero_mod(total, p):
             return False
     return True
 

@@ -46,7 +46,7 @@ from .derivations import (
     sample_derivation,
     spin_div_criterion,
 )
-from .errors import AlgebraError, BadParameters, ParseError
+from .errors import AlgebraError, BadParameters, NoDerivations, ParseError
 from .fields import parse_field
 from .formats import (
     format_element,
@@ -220,6 +220,8 @@ def _cmd_derivations(args) -> int:
     sample_text = None
     lines = [f"derivation space dimension {space.dim}"]
     if args.sample:
+        if space.dim == 0:
+            raise NoDerivations("no nonzero derivations exist")
         dmap = sample_derivation(space, random.Random(args.seed))
         sample_text = write_map(dmap)
         if not args.output:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import chain
 
 import numpy as np
@@ -63,6 +63,7 @@ from .linalg import (
     _exact_matmul,
     _identity_raw,
     _int_image,
+    _is_zero_mod,
     _nullspace_mod_staged,
     combine_raw,
     diagonalize_symmetric_form,
@@ -76,33 +77,41 @@ from .linalg import (
 # the Leibniz rule
 
 
-def _leibniz_defect(table: AlgebraTable, maps) -> np.ndarray:
-    """Integer tensor T[i,j,s,k]: coordinate k of D(bi bj) - D(bi)bj - bi D(bj)
-    for the map D = maps[s], up to one overall positive scale factor, and
-    reduced mod p over GF(p)."""
+@cache
+def _leibniz_pairs(n: int, commutative: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices i*n + j of the basis pairs of the Leibniz rule, i <= j on
+    commutative tables, and j*n + i of the same; cached for is_derivation."""
+    pairs = np.arange(n * n)
+    pairs = pairs[pairs // n <= pairs % n] if commutative else pairs
+    return pairs, pairs % n * n + pairs // n
+
+
+def _leibniz_holds(table: AlgebraTable, maps) -> bool:
+    """Whether D(bi bj) = D(bi)bj + bi D(bj) for every map D in `maps` and
+    basis pair (i, j).  On a commutative table bi D(bj) = D(bj) bi and the
+    defect is symmetric in (i, j), so only the pairs i <= j are formed."""
     c, _ = table.structure_int_tensor()
-    n = table.dim
-    s = len(maps)
-    p = table.field.p
+    n, s, p = table.dim, len(maps), table.field.p
     # d[s*n + k] is row k of maps[s], dt[s*n + m] row m of its transpose
     d, _ = _int_image(table.field, [row for m in maps for row in m.matrix.rows])
     dt = d.reshape(s, n, n).transpose(0, 2, 1).reshape(s * n, n)
-    defect = _exact_matmul(c.reshape(n * n, n), d.T, p, terms=3).reshape(n, n, s, n)
-    # axes (s, i, j, k) of D(bi) bj
-    defect -= _exact_matmul(dt, c.reshape(n, n * n), p, terms=3).reshape(s, n, n, n).transpose(1, 2, 0, 3)
-    # axes (s, j, i, k) of bi D(bj)
-    r2 = _exact_matmul(dt, c.transpose(1, 0, 2).reshape(n, n * n), p, terms=3)
-    defect -= r2.reshape(s, n, n, n).transpose(2, 1, 0, 3)
-    if p:
-        defect %= p
-    return defect
+    # left[s, i*n + j] = D(bi) bj, right[s, j*n + i] = bi D(bj)
+    left = _exact_matmul(dt, c.reshape(n, n * n), p, terms=3).reshape(s, n * n, n)
+    commutative = check_identity(table, "commutative")
+    pairs, swapped = _leibniz_pairs(n, commutative)
+    right = left if commutative else _exact_matmul(dt, c.transpose(1, 0, 2).reshape(n, n * n), p, terms=3)
+    defect = _exact_matmul(c.reshape(n * n, n)[pairs], d.T, p, terms=3)
+    defect = defect.reshape(len(pairs), s, n).transpose(1, 0, 2)
+    defect -= left[:, pairs]
+    defect -= right.reshape(s, n * n, n)[:, swapped]
+    return _is_zero_mod(defect, p)
 
 
 def is_derivation(table: AlgebraTable, dmap: LinearMap) -> bool:
     """Whether D(xy) = D(x)y + x D(y) holds on all basis pairs, exactly."""
     if dmap.algebra != table:
         raise AlgebraMismatch("map is defined on a different algebra")
-    return not _leibniz_defect(table, [dmap]).any()
+    return _leibniz_holds(table, [dmap])
 
 
 @dataclass(frozen=True)
@@ -191,10 +200,8 @@ def derivation_space(table: AlgebraTable) -> DerivationSpace:
         return cached
     f = table.field
     n = table.dim
-    if check_identity(table, "commutative"):
-        pairs = [(i, j) for i in range(n) for j in range(i, n)]
-    else:
-        pairs = [(i, j) for i in range(n) for j in range(n)]
+    flat, _ = _leibniz_pairs(n, check_identity(table, "commutative"))
+    pairs = np.stack(np.divmod(flat, n), axis=1)  # rows (i, j)
     size = len(pairs) * n**3 * 8
     if size > LEIBNIZ_BYTE_CAP:
         raise CapExceeded(
@@ -213,7 +220,7 @@ def derivation_space(table: AlgebraTable) -> DerivationSpace:
     ]
     step = max(1, _DEFECT_CELLS // n**3)
     for lo in range(0, len(maps), step):
-        if _leibniz_defect(table, maps[lo : lo + step]).any():
+        if not _leibniz_holds(table, maps[lo : lo + step]):
             raise CertificationError("nullspace row fails the Leibniz rule")
     unit = table.unit_coords()
     if unit is not None and any(dot_raw(f, row, unit) for m in maps for row in m.matrix.rows):

@@ -85,6 +85,10 @@ class NotADerivation(AlgebraError):
     """The supplied linear map violates the Leibniz rule."""
 
 
+class NoDerivations(AlgebraError):
+    """The table has no nonzero derivation to sample."""
+
+
 class CriterionNotSatisfied(AlgebraError):
     """Witness vectors do not satisfy the two-vector criterion."""
 

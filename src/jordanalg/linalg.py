@@ -13,11 +13,11 @@ int64 below 2^31, where the row-reduction update (the product of two
 entries plus one subtraction) cannot overflow, and object dtype (exact
 Python ints) otherwise.  `_int_image` turns raw rows into such an array:
 residues over GF(p), denominator-cleared integers over Q.  Every product
-of integer arrays goes through `_exact_matmul`, which takes one of three
-number paths from a bound it checks before multiplying: float64 (BLAS)
-while every dot product stays below 2^53, int64 below 2^63, object dtype
-beyond.  Over GF(p) the bound follows from p alone; over Q it comes from
-a scan of the inputs.
+of integer arrays takes one of three number paths from a bound checked
+before multiplying (`_sum_path`): float64 (BLAS) while every dot product
+stays below 2^53, int64 below 2^63, object dtype beyond.  Over GF(p) the
+bound follows from p alone; over Q it comes from a scan of the inputs.
+`_exact_matmul` runs one product; `_is_zero_mod` tests a sum exactly.
 
 Tall GF(p) nullspaces run through `_nullspace_mod_staged`.  It takes a
 matrix as entry triples (`Entries`), an array or rows; one of more than
@@ -140,26 +140,43 @@ def _magnitude(a: np.ndarray, p: int | None) -> int:
 
 def _exact_matmul(a: np.ndarray, b: np.ndarray, p: int | None = None, terms: int = 1) -> np.ndarray:
     """Exact a @ b of integer arrays: residues mod p, or arbitrary
-    integers when p is None.
-
-    The number path is `_product_dtype`'s; a float64 product comes back
-    as int64.  The result dtype also holds the sum of `terms` results of
-    calls that pass the same `terms`.  Over Q the largest of them was
-    given room for all.  Over GF(p) the path is picked for one product;
-    with terms > 1 the caller reduces the sum, so a result is left
-    unreduced where its dtype holds `terms` unreduced results (object
-    dtype always does), and comes back as residues otherwise.
-    """
+    integers when p is None, on `_sum_path`'s path for the sum of `terms`
+    results of calls that pass the same `terms`; a float64 product comes
+    back as int64.  Over GF(p) a result is left unreduced only where
+    terms > 1 and `_sum_path` asks for no reduction; the caller sums it."""
     inner, big_a, big_b = a.shape[-1], _magnitude(a, p), _magnitude(b, p)
-    dtype = _product_dtype(inner, big_a, big_b, 1 if p else terms)
+    dtype, reduce = _sum_path(inner, big_a, big_b, p, terms)
     out = a.astype(dtype, copy=False) @ b.astype(dtype, copy=False)
     if dtype is np.float64:
         out = out.astype(np.int64)
-    if p and (
-        terms == 1 or (dtype is not object and _product_bound(inner, big_a, big_b, terms) >= _INT64_EXACT)
-    ):
+    if p and (terms == 1 or reduce):
         out %= p
     return out
+
+
+def _sum_path(inner: int, big_a: int, big_b: int, p: int | None, terms: int) -> tuple:
+    """(dtype, reduce) for a sum of `terms` exact products: `_product_dtype`
+    of the sum over Q, of one product over GF(p), where `reduce` says that
+    the dtype cannot hold `terms` unreduced products: reduce each first."""
+    dtype = _product_dtype(inner, big_a, big_b, 1 if p else terms)
+    limit = _FLOAT64_EXACT if dtype is np.float64 else _INT64_EXACT
+    return dtype, bool(p) and dtype is not object and _product_bound(inner, big_a, big_b, terms) >= limit
+
+
+def _is_zero_mod(a: np.ndarray, p: int | None) -> bool:
+    """Whether the integer-valued array `a` is 0, mod p over GF(p).  A
+    float64 `a` (|a| < 2^53) is tested without a float remainder: with
+    q = rint(a * (1/p)), p * q is a multiple of p that is exact below
+    2^53 and past |a| above it, so p * q == a proves p | a.  Where
+    rounding could have moved q, the int64 remainder decides."""
+    if p and a.dtype == np.float64:
+        q = a * (1 / p)
+        np.rint(q, out=q)
+        q *= p
+        if (q == a).all():
+            return True
+        a = a.astype(np.int64)
+    return not (a % p if p else a).any()
 
 
 # ---------------------------------------------------------------------------

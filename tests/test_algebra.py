@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -32,7 +33,7 @@ from jordanalg.errors import (
     NotUnital,
 )
 from jordanalg.fields import RATIONALS, is_prime, prime_field
-from jordanalg.linalg import Subspace, _product_dtype
+from jordanalg.linalg import Matrix, Subspace, _product_dtype
 
 
 def m2_table(field):
@@ -355,6 +356,99 @@ def test_jordan_check_rejects_perturbed_albert(monkeypatch, field, path):
     bad = _perturbed(t, 1, 2, 0)
     assert check_identity(bad, "commutative")
     assert _checked_paths(monkeypatch, bad, "jordan") == (False, {path})
+
+
+def _dense_basis(table, rng, big):
+    """The table on a random basis b'_i = sum_r P[i][r] b_r, P with
+    residues over GF(p) and entries in [-big, big] over Q, so that every
+    structure constant is dense."""
+    f, n = table.field, table.dim
+    while True:
+        rows = [[f.coerce(rng.randrange(f.p) if f.p else rng.randint(-big, big)) for _ in range(n)] for _ in range(n)]
+        if Matrix(f, rows).rank() == n:
+            break
+    cols = [list(col) for col in zip(*rows)]
+    entries = {}
+    for i, j in itertools.product(range(n), repeat=2):
+        coords = linalg.solve_raw(f, cols, table.mul_coords(rows[i], rows[j]))
+        entries.update({(i, j, k): v for k, v in enumerate(coords) if v})
+    return AlgebraTable(f, n, entries)
+
+
+DENSE_FIELDS = {
+    "GF-bound-float64": (lambda: prime_field(_largest_prime_on_float_path(9)), {np.float64}),
+    "GF-past-bound-int64": (lambda: prime_field(_smallest_prime_off_float_path(9)), {np.int64}),
+    "Q-past-float64": (lambda: RATIONALS, {object}),
+}
+
+
+@pytest.mark.parametrize("case", list(DENSE_FIELDS))
+def test_jordan_check_on_dense_bases(monkeypatch, case):
+    # dense constants take the products of the check toward their path's
+    # bound; the float64 bound prime of inner dimension 9 reduces each one
+    field_of, paths = DENSE_FIELDS[case]
+    f = field_of()
+    rng = random.Random(f"dense-jordan-{case}")
+    for _ in range(3):
+        t = _dense_basis(_plus_matrices(f, 3), rng, 1000)
+        assert _checked_paths(monkeypatch, t, "jordan") == (True, paths)
+        assert not check_identity(_perturbed(t, 1, 2, 0), "jordan")
+    for table in (small_spin_table(f, [1, 2, 3]), _plus_matrices(f, 2)):
+        t = _dense_basis(table, rng, 1000)
+        bad = _perturbed(t, 0, 1, 2)
+        verdicts = [check_identity(t, "jordan"), check_identity(bad, "jordan")]
+        assert verdicts == [_jordan_reference(t), _jordan_reference(bad)] == [True, False]
+
+
+def test_jordan_products_are_reduced_before_the_sum_at_the_float64_bound(monkeypatch):
+    # at the float64 bound prime of a table's own dimension three
+    # unreduced products can pass 2^53 (some dense 3-dim spin factors
+    # do), so each product is reduced first and every sum that reaches
+    # the zero test is below 3p
+    sums = []
+    real = algebra._is_zero_mod
+    monkeypatch.setattr(algebra, "_is_zero_mod", lambda a, p: sums.append(np.abs(a).max()) or real(a, p))
+    rng = random.Random("jordan-float64-bound-sums")
+    for n, build in ((3, lambda f: small_spin_table(f, [1, 2])), (4, lambda f: _plus_matrices(f, 2))):
+        f = prime_field(_largest_prime_on_float_path(n))
+        for _ in range(10):
+            t = _dense_basis(build(f), rng, 0)
+            bad = _perturbed(t, 0, 1, 2)
+            verdicts = [check_identity(t, "jordan"), check_identity(bad, "jordan")]
+            assert verdicts == [_jordan_reference(t), _jordan_reference(bad)] == [True, False]
+        assert 0 < max(sums) < 3 * f.p
+        sums.clear()
+
+
+def test_jordan_sum_path_reduces_only_at_the_float64_bound():
+    top, past = _largest_prime_on_float_path(9), _smallest_prime_off_float_path(9)
+    assert linalg._sum_path(9, 6, 6, 7, 3) == (np.float64, False)
+    assert linalg._sum_path(9, top - 1, top - 1, top, 3) == (np.float64, True)
+    assert linalg._sum_path(9, past - 1, past - 1, past, 3) == (np.int64, False)
+    assert linalg._sum_path(9, 2**31 - 2, 2**31 - 2, 2**31 - 1, 3) == (object, False)
+    assert linalg._sum_path(9, top - 1, top - 1, None, 3) == (np.int64, False)
+
+
+def test_zero_test_mod_p_is_exact_near_2_53():
+    for p in (2, 3, 5, 7, _largest_prime_on_float_path(9)):
+        top = ((1 << 53) - 2) // p
+        multiples = np.array([0.0, p, -p, p * top, -p * top, p * (top - 1)])
+        assert linalg._is_zero_mod(multiples, p)
+        for off in (1, -1):
+            assert not linalg._is_zero_mod(multiples + off, p)
+    assert linalg._is_zero_mod(np.zeros(3), None) and not linalg._is_zero_mod(np.ones(3), None)
+
+
+def test_jordan_check_memory_peak_on_albert():
+    t = albert_type(prime_field(7), [1, 2, 3], [1, 2, 3])
+    t.structure_int_tensor()
+    tracemalloc.start()
+    try:
+        assert algebra._check_jordan(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20
 
 
 def test_jordan_cap_bounds_the_check_size(monkeypatch):

@@ -291,6 +291,18 @@ def test_math_precondition_exits_3_with_error_name(workdir):
     assert "NotFinite" in result.stderr
 
 
+def test_derivations_sample_without_derivations_exits_3(tmp_path):
+    # GF(9) as a Cayley-Dickson double of GF(3) has no nonzero derivation
+    path = str(tmp_path / "gf9.alg")
+    assert run_cli("build", "cd", "--field", "GF:3", "--mu", "2", "-o", path).returncode == 0
+    assert run_cli("derivations", path).stdout == "derivation space dimension 0\n"
+    for extra in ([], ["--json"]):
+        result = run_cli("derivations", path, "--sample", "--seed", "1", *extra)
+        assert result.returncode == 3
+        assert result.stdout == ""
+        assert result.stderr == "error [NoDerivations]: no nonzero derivations exist\n"
+
+
 def test_oversized_leibniz_system_exits_3(tmp_path):
     # the 64-dim M_8 would need about 8.6 GB; the child's address space is
     # capped at 2 GiB, so a missing refusal ends in MemoryError
