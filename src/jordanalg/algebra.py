@@ -55,17 +55,10 @@ class SplitNullMeta:
     shift: RawScalar
 
 
-def _combine_terms(p: int | None, terms, vectors) -> dict:
-    """Nonzero coordinates {r: value} of sum(c * vectors[k] for k, c in
-    terms), every vector given as its (index, raw value) terms.  Sums are
-    taken as plain ints or Fractions, with one ``% p`` per coordinate."""
-    acc: dict = {}
-    for k, c in terms:
-        for r, v in vectors[k]:
-            acc[r] = acc.get(r, 0) + c * v
-    if p:
-        return {r: w for r, v in acc.items() if (w := v % p)}
-    return {r: v for r, v in acc.items() if v}
+def _all_zero(p: int | None, values) -> bool:
+    """Whether every exact sum in `values` (plain ints or Fractions) is
+    zero in the field: one ``% p`` each over GF(p)."""
+    return not any(v % p for v in values) if p else not any(values)
 
 
 class AlgebraTable:
@@ -185,11 +178,15 @@ class AlgebraTable:
         return self._cache["unit"]
 
     def _acts_as_unit(self, coords) -> bool:
-        identity = _identity_raw(self.field, self.dim)
-        return (
-            self.mult_operator(coords) == identity
-            and self.mult_operator(coords, "right") == identity
-        )
+        """u b_j = b_j = b_j u for all j: key (0, j, k) sums the coefficient of
+        b_k in u b_j - b_j, key (1, j, k) in b_j u - b_j, over the nonzero rows."""
+        acc = {(side, j, j): -1 for side in (0, 1) for j in range(self.dim)}
+        for (i, j), pairs in self._rows.items():
+            for side, u, col in ((0, coords[i], j), (1, coords[j], i)):
+                if u:
+                    for k, v in pairs:
+                        acc[side, col, k] = acc.get((side, col, k), 0) + u * v
+        return _all_zero(self.field.p, acc.values())
 
     # ------------------------------------------------------------------
     # multiplication
@@ -209,14 +206,6 @@ class AlgebraTable:
                     for k, v in row:
                         out[k] = f.add(out[k], f.mul(c, v))
         return out
-
-    def _mul_terms(self, xs, ys) -> dict[int, RawScalar]:
-        """Nonzero coordinates {k: value} of x * y, for x and y given as
-        (index, raw value) terms: the structure rows of the term pairs,
-        combined by `_combine_terms`."""
-        rows = self._rows
-        pairs = [((i, j), a * b) for i, a in xs for j, b in ys if (i, j) in rows]
-        return _combine_terms(self.field.p, pairs, rows)
 
     def mult_operator(self, x: Sequence[RawScalar], side: str = "left") -> list[list]:
         """Raw rows of L_x (side "left") or R_x (side "right").
@@ -524,7 +513,7 @@ def _check_jordan(table: AlgebraTable) -> bool:
     product forms the commutator tensor K[m, z] = [L_m, L_z]; as
     L_{ab} = sum_m c[a, b, m] L_m, two more per c give [L_{ab}, L_c] and
     G[x, y] = [L_{cx}, L_y], and the sum [L_{ab}, L_c] + G + G^T, being
-    symmetric in (a, b, c), is formed for a, b <= c only.  The products,
+    symmetric in (a, b, c), is formed for a <= b <= c only.  The products,
     their sum and the exact zero test stay on the number path that
     `linalg._sum_path` picks; over GF(p) each product is reduced first
     where that path cannot hold three.  Arrays over JORDAN_BYTE_CAP
@@ -543,14 +532,17 @@ def _check_jordan(table: AlgebraTable) -> bool:
     k = k - k.transpose(1, 0, 2, 3)
     dtype, reduce = _sum_path(n, _magnitude(c, p), _magnitude(k, p), p, 3)
     c, k = c.astype(dtype), np.ascontiguousarray(k, dtype=dtype)
+    bs, as_ = np.tril_indices(n)  # the pairs a <= b ordered by b, so those with b <= z come first
+    pair_rows = c.reshape(n * n, n)[as_ * n + bs]
     for z in range(n):
         m = z + 1
-        total = (c[:m, :m].reshape(m * m, n) @ k[:, z].reshape(n, n * n)).reshape(m, m, n, n)
-        g = (c[z, :m] @ k[:, :m].reshape(n, m * n * n)).reshape(m, m, n, n)  # g[x, y] = [L_{zx}, L_y]
+        a, b = as_[: m * (m + 1) // 2], bs[: m * (m + 1) // 2]
+        total = pair_rows[: len(a)] @ k[:, z].reshape(n, n * n)
+        g = (c[z, :m] @ k[:, :m].reshape(n, m * n * n)).reshape(m * m, n * n)  # g[x m + y] = [L_{zx}, L_y]
         if reduce:
             total, g = np.fmod(total, p), np.fmod(g, p)
-        total += g
-        total += g.transpose(1, 0, 2, 3)
+        total += g[a * m + b]
+        total += g[b * m + a]
         if not _is_zero_mod(total, p):
             return False
     return True

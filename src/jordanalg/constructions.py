@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .algebra import AlgebraTable, Element, LinearMap, _combine_terms
+from .algebra import AlgebraTable, Element, LinearMap, _all_zero
 from .errors import (
     BadParameters,
     NotAnInvolution,
@@ -68,31 +68,43 @@ def plus_algebra(table: AlgebraTable) -> AlgebraTable:
 def involution_check(table: AlgebraTable, sigma: LinearMap) -> bool:
     """sigma^2 = id and sigma(xy) = sigma(y) sigma(x) on all basis pairs.
 
-    Works on the sparse columns of sigma (column j is sigma(b_j)) and on
-    the table's nonzero structure rows: the square is checked column by
-    column, and sigma(b_i b_j) and sigma(b_j) sigma(b_i) are compared as
-    their nonzero coordinates, so no dense vector is formed.  Only the
-    pairs where a side can be nonzero are visited: b_i b_j != 0, or
-    b_a b_b != 0 for some a in supp sigma(b_j) and b in supp sigma(b_i).
-    Every step is exact field arithmetic.
+    One pass over the sparse columns of sigma (column j is sigma(b_j))
+    sums sigma^2 - id; then, one left index i at a time, one pass over
+    the structure rows that reach i sums sigma(b_i b_j) - sigma(b_j)
+    sigma(b_i) for every j, keyed by j n + k: a work area of n^2 keys.
+    Sums are plain ints or Fractions, reduced mod p once per key.
     """
     if sigma.algebra is not table and sigma.algebra != table:
         return False
     n = table.dim
     p = table.field.p
-    one = table.field.one()
-    rows = sigma.matrix.rows
-    cols = [[(r, rows[r][j]) for r in range(n) if rows[r][j]] for j in range(n)]
-    for j in range(n):
-        if _combine_terms(p, cols[j], cols) != {j: one}:
-            return False
-    # support[a] lists the j with a in supp sigma(b_j)
-    support = [[j for j, v in enumerate(row) if v] for row in rows]
-    pairs = set(table._rows)
-    pairs.update((i, j) for a, b in table._rows for j in support[a] for i in support[b])
-    for i, j in pairs:
-        lhs = _combine_terms(p, table._rows.get((i, j), ()), cols)
-        if lhs != table._mul_terms(cols[j], cols[i]):
+    # support[a] holds (j n, sigma[a][j]) and cols[j] holds (a, sigma[a][j])
+    support = [[(j * n, v) for j, v in enumerate(row) if v] for row in sigma.matrix.rows]
+    cols = [[(a, v) for a, v in enumerate(col) if v] for col in zip(*sigma.matrix.rows)]
+    square = {(j, j): -1 for j in range(n)}
+    for j, terms in enumerate(cols):
+        for m, s in terms:
+            for r, t in cols[m]:
+                square[r, j] = square.get((r, j), 0) + t * s
+    if not _all_zero(p, square.values()):
+        return False
+    by_left, by_right = [[] for _ in range(n)], [[] for _ in range(n)]
+    for (a, b), pairs in table._rows.items():
+        by_left[a].append((b * n, pairs))
+        by_right[b].append((a, pairs))
+    for i in range(n):
+        acc = {}
+        for jn, pairs in by_left[i]:
+            for m, c in pairs:
+                for k, s in cols[m]:
+                    acc[jn + k] = acc.get(jn + k, 0) + c * s
+        # sigma(b_j) sigma(b_i) sums sigma[a][j] sigma[b][i] b_a b_b over the rows (a, b)
+        for b, t in cols[i]:
+            for a, pairs in by_right[b]:
+                for jn, s in support[a]:
+                    for k, c in pairs:
+                        acc[jn + k] = acc.get(jn + k, 0) - s * t * c
+        if not _all_zero(p, acc.values()):
             return False
     return True
 
@@ -107,22 +119,22 @@ def hermitian_subalgebra(table: AlgebraTable, sigma: LinearMap) -> tuple[Algebra
     """
     if not involution_check(table, sigma):
         raise NotAnInvolution("map is not an involution of the table")
-    fixed, entries, unit = _fixed_structure(table, sigma, table._mul_terms)
+    fixed, entries, unit = _fixed_structure(table, sigma)
     sub = AlgebraTable(table.field, fixed.dim, entries, unit=unit)
     return sub, Matrix._wrap(table.field, zip(*fixed.basis))
 
 
-def _fixed_structure(table: AlgebraTable, sigma: LinearMap, product) -> tuple[Subspace, dict, tuple | None]:
-    """The fixed space of a sigma the caller has already verified, the
-    structure constants of `product` on its canonical basis, and the
-    coordinates of the table's unit (None without one).  `product` maps
-    two vectors given as (index, raw value) terms to the nonzero
-    coordinates of their product, like `AlgebraTable._mul_terms`.
+def _fixed_structure(table: AlgebraTable, sigma: LinearMap, scale=None) -> tuple[Subspace, dict, tuple | None]:
+    """The fixed space of a verified sigma, the structure constants on its
+    canonical basis, and the coordinates of the table's unit (None
+    without one), for the table's product or, with `scale`, the
+    commutative x o y = scale (xy + yx), formed for a <= b and mirrored.
 
-    The basis is in reduced echelon form, so a vector of the space has
-    its entries at the pivots as coordinates.  Every product of basis
-    vectors is certified to equal the combination those entries give
-    (the remainder is zero) before its coordinates are kept.
+    One pass over the nonzero structure rows sums every product of basis
+    vectors by (a, b, coordinate).  The basis is in reduced echelon form,
+    so a product's entries at the pivots are its coordinates; that
+    combination is subtracted, and a nonzero remainder (one reduction
+    mod p per key) raises NotClosed.
     """
     f = table.field
     fixed = (sigma.matrix - Matrix.identity(f, table.dim)).nullspace()
@@ -130,15 +142,28 @@ def _fixed_structure(table: AlgebraTable, sigma: LinearMap, product) -> tuple[Su
         raise NotClosed("fixed space of the involution is zero")
     basis = [[(r, v) for r, v in enumerate(vec) if v] for vec in fixed.basis]
     slot = {pivot: k for k, pivot in enumerate(fixed.pivots)}
+    # at[r] holds (a, x_a[r]) for the basis vectors x_a nonzero at r
+    at = [[(a, v) for a, v in enumerate(row) if v] for row in zip(*fixed.basis)]
+    prod = {}
+    for (i, j), pairs in table._rows.items():
+        for a, u in at[i]:
+            for b, w in at[j]:
+                lo, hi, uw = a, b, u * w
+                if scale is not None and a >= b:
+                    # x_b o x_a sums the terms of x_a x_b and x_b x_a; x_a o x_a those of x_a x_a twice
+                    lo, hi, uw = b, a, (uw + uw if a == b else uw)
+                for k, c in pairs:
+                    prod[lo, hi, k] = prod.get((lo, hi, k), 0) + uw * c
     entries = {}
-    for a, x in enumerate(basis):
-        for b, y in enumerate(basis):
-            prod = product(x, y)
-            coords = [(slot[r], v) for r, v in prod.items() if r in slot]
-            if _combine_terms(f.p, coords, basis) != prod:
-                raise NotClosed("fixed space is not closed under the product")
-            for k, v in coords:
-                entries[(a, b, k)] = v
+    for (a, b, r), v in [(key, v) for key, v in prod.items() if key[2] in slot]:
+        m = slot[r]
+        entries[a, b, m] = f.mul(v, 1 if scale is None else scale)
+        if scale is not None:
+            entries[b, a, m] = entries[a, b, m]
+        for r2, w in basis[m]:
+            prod[a, b, r2] = prod.get((a, b, r2), 0) - v * w  # x_m is 0 at the other pivots
+    if not _all_zero(f.p, prod.values()):
+        raise NotClosed("fixed space is not closed under the product")
     ambient_unit = table.unit_coords()
     unit = None if ambient_unit is None else fixed.coords_of(ambient_unit)
     return fixed, entries, unit
@@ -369,16 +394,9 @@ def albert_type(field: Field, mus: Sequence, gammas: Sequence) -> AlgebraTable:
     coeff, conj_map = cayley_dickson(field, mus)
     c3 = matrix_algebra(coeff, 3)
     sigma = gamma_involution(c3, gammas, conj_map.matrix)
-    rows = c3._rows
-    half = field.half()
-
-    def jordan_product(xs, ys):
-        # x o y = (xy + yx) / 2 from c3's rows: sigma, an anti-automorphism
-        # of c3, preserves it, and c3's unit is its unit
-        terms = [(key, half * a * b) for i, a in xs for j, b in ys for key in ((i, j), (j, i)) if key in rows]
-        return _combine_terms(field.p, terms, rows)
-
-    fixed, entries, unit = _fixed_structure(c3, sigma, jordan_product)
+    # x o y = (xy + yx) / 2 from c3's rows: sigma, an anti-automorphism
+    # of c3, preserves it, and c3's unit is its unit
+    fixed, entries, unit = _fixed_structure(c3, sigma, field.half())
     if fixed.dim != 27:
         raise NotClosed(f"hermitian fixed space has dimension {fixed.dim}, expected 27")
 

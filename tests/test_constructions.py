@@ -599,9 +599,239 @@ def test_albert_rejects_gamma_map_with_flipped_pair(monkeypatch, field):
          "f45c775774cde9a2948dcd98df88584b6196641bc7908bbcbd6081b146e1486c"),
         (RATIONALS, (-1, 2, -3), (1, -1, 2),
          "789153329a41c831e9fa266e0a57de852311ed8c52cf2a8d4a57a27b988b35bf"),
+        # residues past 2^31 keep every sum of products on Python ints
+        (prime_field(2**61 - 1), (2**61 - 2, 2, 5), (1, 2**40, 3),
+         "d4876ccc544cff8bb96313a53f937cec14069a87118f06d7b9db7437ea902883"),
     ],
-    ids=["GF5", "GF7", "Q"],
+    ids=["GF5", "GF7", "Q", "GF(2^61-1)"],
 )
 def test_albert_written_file_is_golden(field, mus, gammas, digest):
     text = write_algebra(albert_type(field, mus, gammas))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# ---------------------------------------------------------------------------
+# the one-pass replay certificates against the per-pair and per-product
+# checks they replace: involution_check, _fixed_structure and the unit laws
+
+
+def _combine_terms(p, terms, vectors):
+    """Nonzero coordinates {r: value} of sum(c * vectors[k] for k, c in
+    terms), each vector given as its (index, raw value) terms."""
+    acc = {}
+    for k, c in terms:
+        for r, v in vectors[k]:
+            acc[r] = acc.get(r, 0) + c * v
+    if p:
+        return {r: w for r, v in acc.items() if (w := v % p)}
+    return {r: v for r, v in acc.items() if v}
+
+
+def _product_terms(table):
+    """x * y on (index, raw value) terms, from the structure rows of the
+    term pairs."""
+    rows = table._rows
+
+    def product(xs, ys):
+        pairs = [((i, j), a * b) for i, a in xs for j, b in ys if (i, j) in rows]
+        return _combine_terms(table.field.p, pairs, rows)
+
+    return product
+
+
+def _jordan_terms(table):
+    """x o y = (xy + yx) / 2 on (index, raw value) terms."""
+    rows, half = table._rows, table.field.half()
+
+    def product(xs, ys):
+        terms = [(key, half * a * b) for i, a in xs for j, b in ys for key in ((i, j), (j, i)) if key in rows]
+        return _combine_terms(table.field.p, terms, rows)
+
+    return product
+
+
+def _involution_by_pairs(table, sigma):
+    """involution_check with one comparison per basis pair (i, j) that a
+    side can be nonzero on, and sigma^2 = id one column at a time."""
+    n, p = table.dim, table.field.p
+    rows = sigma.matrix.rows
+    cols = [[(r, rows[r][j]) for r in range(n) if rows[r][j]] for j in range(n)]
+    if any(_combine_terms(p, cols[j], cols) != {j: table.field.one()} for j in range(n)):
+        return False
+    support = [[j for j, v in enumerate(row) if v] for row in rows]
+    pairs = set(table._rows)
+    pairs.update((i, j) for a, b in table._rows for j in support[a] for i in support[b])
+    product = _product_terms(table)
+    return all(
+        _combine_terms(p, table._rows.get((i, j), ()), cols) == product(cols[j], cols[i])
+        for i, j in pairs
+    )
+
+
+def _fixed_by_products(table, sigma, product):
+    """(fixed basis, nonzero constants, unit) with one certified product
+    per ordered pair of fixed basis vectors, or "NotClosed"."""
+    f = table.field
+    fixed = (sigma.matrix - Matrix.identity(f, table.dim)).nullspace()
+    basis = [[(r, v) for r, v in enumerate(vec) if v] for vec in fixed.basis]
+    slot = {pivot: k for k, pivot in enumerate(fixed.pivots)}
+    entries = {}
+    for a, x in enumerate(basis):
+        for b, y in enumerate(basis):
+            prod = product(x, y)
+            coords = [(slot[r], v) for r, v in prod.items() if r in slot]
+            if _combine_terms(f.p, coords, basis) != prod:
+                return "NotClosed"
+            for k, v in coords:
+                entries[(a, b, k)] = v
+    return fixed.basis, entries, fixed.coords_of(table.unit_coords())
+
+
+def _fixed_outcome(table, sigma, scale=None):
+    """What constructions._fixed_structure gives, in the form of
+    _fixed_by_products."""
+    try:
+        fixed, entries, unit = constructions._fixed_structure(table, sigma, scale)
+    except NotClosed:
+        return "NotClosed"
+    return fixed.basis, {key: v for key, v in entries.items() if v}, unit
+
+
+P61 = prime_field(2**61 - 1)
+C3_CASES = [
+    (F5, (2, 3, 1), (1, 2, 4)),
+    (F5, (1, 1, 1), (1, 1, 1)),
+    (F5, (4, 2, 3), (2, 3, 1)),
+    (F7, (3, 5, 6), (1, 3, 2)),
+    (F7, (1, 2, 3), (1, 2, 4)),
+    (F7, (6, 6, 6), (1, 1, 1)),
+    (RATIONALS, (-1, 2, -3), (1, -1, 2)),
+    (RATIONALS, (-1, -1, -1), (1, 1, 1)),
+    (RATIONALS, (Fraction(1, 2), 3, -5), (2, Fraction(-1, 3), 7)),
+    (P61, (3, 5, 6), (1, 3, 2)),
+    (P61, (2**61 - 2, 2, 5), (1, 2**40, 3)),
+    (P61, (2**50, 7, 2**61 - 3), (5, 2**33, 11)),
+]
+C3_IDS = [f"{f}-{m}" for m, (f, _, _) in enumerate(C3_CASES)]
+
+
+def _c3_and_gamma(field, mus, gammas):
+    coeff, conj = cayley_dickson(field, mus)
+    c3 = matrix_algebra(coeff, 3)
+    return c3, gamma_involution(c3, gammas, conj.matrix)
+
+
+@pytest.mark.parametrize("field, mus, gammas", C3_CASES, ids=C3_IDS)
+def test_involution_check_on_c3_matches_per_pair_reference(field, mus, gammas):
+    c3, sigma = _c3_and_gamma(field, mus, gammas)
+    maps = [sigma.matrix, Matrix.identity(field, 72)]
+    # u E_12 -> its image negated: the square breaks; with the mirror
+    # entry negated too, only the product law breaks
+    for mirror in (False, True):
+        rows = [list(r) for r in sigma.matrix.rows]
+        dst = next(r for r in range(72) if rows[r][8])
+        rows[dst][8] = field.neg(rows[dst][8])
+        if mirror:
+            rows[8][dst] = field.neg(rows[8][dst])
+        maps.append(Matrix(field, rows))
+    verdicts = [involution_check(c3, LinearMap(c3, m)) for m in maps]
+    assert verdicts == [_involution_by_pairs(c3, LinearMap(c3, m)) for m in maps]
+    assert verdicts == [True, False, False, False]
+
+
+@pytest.mark.parametrize("field, mus, gammas", C3_CASES, ids=C3_IDS)
+def test_fixed_structure_on_c3_matches_per_product_reference(field, mus, gammas):
+    c3, sigma = _c3_and_gamma(field, mus, gammas)
+    outcome = _fixed_outcome(c3, sigma, field.half())
+    assert outcome == _fixed_by_products(c3, sigma, _jordan_terms(c3))
+    basis, entries, unit = outcome
+    assert len(basis) == 27 and unit is not None
+    assert AlgebraTable(field, 27, entries, unit=unit) == albert_type(field, mus, gammas)
+    # hermitian matrices are not closed under the matrix product itself
+    assert _fixed_outcome(c3, sigma) == _fixed_by_products(c3, sigma, _product_terms(c3)) == "NotClosed"
+
+
+@pytest.mark.parametrize("field", TRANSPORT_FIELDS, ids=TRANSPORT_IDS)
+def test_replay_certificates_on_dense_maps_match_references(field):
+    outcomes = []
+    for seed in (3, 4):
+        for table, sigma in _transported_cases(field, seed):
+            maps = [sigma.matrix, Matrix.identity(field, table.dim)]
+            for r, c in ((0, 1), (2, 2), (table.dim - 1, 1)):
+                rows = [list(row) for row in sigma.matrix.rows]
+                rows[r][c] = field.add(rows[r][c], field.one())
+                maps.append(Matrix(field, rows))
+            verdicts = [involution_check(table, LinearMap(table, m)) for m in maps]
+            assert verdicts == [_involution_by_pairs(table, LinearMap(table, m)) for m in maps]
+            assert verdicts == [True] + [False] * 4
+            sym = plus_algebra(table)
+            for t, scale, product in (
+                (table, field.half(), _jordan_terms(table)),
+                (sym, None, _product_terms(sym)),
+                (table, None, _product_terms(table)),
+            ):
+                outcome = _fixed_outcome(t, sigma, scale)
+                assert outcome == _fixed_by_products(t, sigma, product)
+                outcomes.append(outcome == "NotClosed")
+    # per seed: M_2 symmetrized twice, then raw (not closed); the
+    # quaternions' scalars under all three
+    assert outcomes == [False, False, True, False, False, False] * 2
+
+
+def _unit_by_operators(table, coords):
+    """The unit laws as two dense operators: L_u = R_u = id."""
+    identity = [list(row) for row in Matrix.identity(table.field, table.dim).rows]
+    return all(table.mult_operator(coords, side) == identity for side in ("left", "right"))
+
+
+@pytest.mark.parametrize("field", [F5, RATIONALS], ids=["GF5", "Q"])
+def test_unit_that_fails_one_law_only_is_rejected(field):
+    # b_i b_j = b_j makes every b_i a left unit and no b_i a right unit;
+    # b_i b_j = b_i is the mirror
+    n = 3
+    left_units = AlgebraTable(field, n, {(i, j, j): 1 for i in range(n) for j in range(n)})
+    right_units = AlgebraTable(field, n, {(i, j, i): 1 for i in range(n) for j in range(n)})
+    u = [1, 0, 0]
+    for table, holds in ((left_units, "left"), (right_units, "right")):
+        assert not check_identity(table, "commutative")
+        fails = "right" if holds == "left" else "left"
+        identity = [list(row) for row in Matrix.identity(field, n).rows]
+        assert table.mult_operator(u, holds) == identity
+        assert table.mult_operator(u, fails) != identity
+        assert table._acts_as_unit(u) is False
+        with pytest.raises(NotUnital):
+            AlgebraTable(field, n, {(i, j, k): v for i, j, k, v in table.sc_items()}, unit=u)
+
+
+@pytest.mark.parametrize("field", [F5, RATIONALS], ids=["GF5", "Q"])
+def test_unit_laws_match_dense_operators(field):
+    rng = random.Random(f"unit-laws-{field}")
+    quat, _ = cayley_dickson(field, [-1, 2])
+    m2 = full_matrix_table(field, 2)
+    for table in (quat, m2, plus_algebra(m2)):
+        unit = table.unit_coords()
+        candidates = [unit, [field.zero()] * table.dim]
+        for _ in range(6):
+            u = list(unit)
+            k = rng.randrange(table.dim)
+            u[k] = field.add(u[k], field.coerce(rng.choice([1, 2, -1])))
+            candidates.append(u)
+        verdicts = [table._acts_as_unit(u) for u in candidates]
+        assert verdicts == [_unit_by_operators(table, u) for u in candidates]
+        assert verdicts == [True] + [False] * 7
+
+
+@pytest.mark.parametrize("field", TRANSPORT_FIELDS, ids=TRANSPORT_IDS)
+def test_involution_check_rejects_dense_order_three_automorphism(field):
+    # the cycle v1 -> v2 -> v3 keeps sigma(xy) = sigma(y) sigma(x) on the
+    # commutative spin factor of diag(1, 1, 1); only sigma^2 = id fails
+    t = diagonal_spin_factor(field, [1, 1, 1])
+    cycle = Matrix(field, [[1, 0, 0, 0], [0, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0]])
+    rng = random.Random(f"dense-cycle-{field}")
+    moved, sigma = _transport(t, cycle, *_random_basis(field, 4, rng))
+    assert sum(1 for row in sigma.matrix.rows for x in row if x) > 4
+    assert sigma.matrix @ sigma.matrix != Matrix.identity(field, 4)
+    x, y = moved.element([1, 2, 3, 4]), moved.element([0, 4, 1, 2])
+    assert sigma(x * y) == sigma(y) * sigma(x)
+    assert involution_check(moved, sigma) is False
+    assert _involution_by_pairs(moved, sigma) is False

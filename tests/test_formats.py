@@ -16,7 +16,7 @@ from jordanalg.constructions import (
     plus_algebra,
     spin_factor,
 )
-from jordanalg.derivations import derivation_space, sample_derivation
+from jordanalg.derivations import derivation_space, is_derivation, sample_derivation
 from jordanalg.errors import NotUnital, ParseError
 from jordanalg.fields import RATIONALS, prime_field
 from jordanalg.formats import (
@@ -334,3 +334,59 @@ def test_unit_line_that_breaks_the_unit_laws_is_a_parse_error(tmp_path, capsys):
     # the library constructor keeps its own error
     with pytest.raises(NotUnital):
         AlgebraTable(F5, 1, {(0, 0, 0): 2}, unit=[1])
+
+
+# ---------------------------------------------------------------------------
+# mutated map files: divcheck exits 0, 2 or 3, never with a traceback
+
+
+def _mutate_map_line(lines, kind, n, rng):
+    """Lines of a map file with one entry line changed: its value shifted
+    (kind "value"), the line dropped ("drop"), its row and column swapped
+    ("swap"), an index moved out of 1..n ("range"), or the line written
+    twice ("duplicate")."""
+    entry = [m for m, line in enumerate(lines) if not line.startswith("map")]
+    while True:
+        m = rng.choice(entry)
+        k, j, value = lines[m].split()
+        if kind == "drop":
+            return lines[:m] + lines[m + 1:]
+        if kind == "duplicate":
+            return lines[:m + 1] + lines[m:]
+        if kind == "value":
+            changed = f"{k} {j} {(int(value) + rng.randrange(1, 5)) % 5}"
+        elif kind == "range":
+            changed = f"{k} {rng.choice([0, n + 1])} {value}" if rng.random() < 0.5 else f"{n + 1} {j} {value}"
+        elif k != j:
+            changed = f"{j} {k} {value}"
+        else:
+            continue
+        return lines[:m] + [changed] + lines[m + 1:]
+
+
+def test_mutated_albert_map_file_exits_cleanly(tmp_path, capsys):
+    alg, good = tmp_path / "albert5.alg", tmp_path / "d.map"
+    assert cli.main(["build", "albert", "--field", "GF:5", "--mu", "2,3,1", "--gamma", "1,2,4",
+                     "-o", str(alg)]) == 0
+    assert cli.main(["derivations", str(alg), "--sample", "--seed", "3", "-o", str(good)]) == 0
+    assert cli.main(["divcheck", str(alg), str(good)]) == 0
+    capsys.readouterr()
+    table = read_algebra(alg.read_text())
+    lines = good.read_text().splitlines()
+    rng = random.Random("mutate-albert-map")
+    path = tmp_path / "mutated.map"
+    codes = []
+    for m in range(15):
+        text = "\n".join(_mutate_map_line(lines, ("value", "drop", "swap", "range", "duplicate")[m % 5],
+                                          table.dim, rng)) + "\n"
+        path.write_text(text)
+        try:
+            expected = 0 if is_derivation(table, read_map(text, table)) else 3
+        except ParseError:
+            expected = 2
+        code = cli.main(["divcheck", str(alg), str(path)])
+        err = capsys.readouterr().err
+        assert code == expected
+        assert "Traceback" not in err and (code == 0 or err.startswith("error"))
+        codes.append(code)
+    assert {2, 3} <= set(codes)
