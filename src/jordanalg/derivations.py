@@ -60,11 +60,12 @@ from .linalg import (
     Entries,
     Matrix,
     Subspace,
-    _exact_matmul,
     _identity_raw,
     _int_image,
     _is_zero_mod,
+    _magnitude,
     _nullspace_mod_staged,
+    _sum_path,
     combine_raw,
     diagonalize_symmetric_form,
     dot_raw,
@@ -89,21 +90,26 @@ def _leibniz_pairs(n: int, commutative: bool) -> tuple[np.ndarray, np.ndarray]:
 def _leibniz_holds(table: AlgebraTable, maps) -> bool:
     """Whether D(bi bj) = D(bi)bj + bi D(bj) for every map D in `maps` and
     basis pair (i, j).  On a commutative table bi D(bj) = D(bj) bi and the
-    defect is symmetric in (i, j), so only the pairs i <= j are formed."""
+    defect is symmetric in (i, j), so only the pairs i <= j are formed.
+    The three products, their sum and the zero test stay on the number
+    path that `linalg._sum_path` picks, as in the Jordan check."""
     c, _ = table.structure_int_tensor()
     n, s, p = table.dim, len(maps), table.field.p
     # d[s*n + k] is row k of maps[s], dt[s*n + m] row m of its transpose
     d, _ = _int_image(table.field, [row for m in maps for row in m.matrix.rows])
+    dtype, reduce = _sum_path(n, _magnitude(c, p), _magnitude(d, p), p, 3)
+    c, d = c.astype(dtype), d.astype(dtype)
     dt = d.reshape(s, n, n).transpose(0, 2, 1).reshape(s * n, n)
     # left[s, i*n + j] = D(bi) bj, right[s, j*n + i] = bi D(bj)
-    left = _exact_matmul(dt, c.reshape(n, n * n), p, terms=3).reshape(s, n * n, n)
+    left = (dt @ c.reshape(n, n * n)).reshape(s, n * n, n)
     commutative = check_identity(table, "commutative")
     pairs, swapped = _leibniz_pairs(n, commutative)
-    right = left if commutative else _exact_matmul(dt, c.transpose(1, 0, 2).reshape(n, n * n), p, terms=3)
-    defect = _exact_matmul(c.reshape(n * n, n)[pairs], d.T, p, terms=3)
-    defect = defect.reshape(len(pairs), s, n).transpose(1, 0, 2)
+    right = left if commutative else (dt @ c.transpose(1, 0, 2).reshape(n, n * n)).reshape(s, n * n, n)
+    defect = (c.reshape(n * n, n)[pairs] @ d.T).reshape(len(pairs), s, n).transpose(1, 0, 2)
+    if reduce:
+        left, right, defect = (np.fmod(a, p) for a in (left, right, defect))
     defect -= left[:, pairs]
-    defect -= right.reshape(s, n * n, n)[:, swapped]
+    defect -= right[:, swapped]
     return _is_zero_mod(defect, p)
 
 
@@ -410,11 +416,14 @@ def has_invertible_values(
     if not f.is_rational:
         count = (f.p ** image.dim - 1) // (f.p - 1)
         if count <= point_cap:
-            for value in _projective_points(f, image):
-                if invert_element(table.element(value)) is None:
-                    return _witnessed_not_div(
-                        table, dmap, kernel, image, value, "exhaustive"
-                    )
+            # the first non-invertible point of the image, or None, depends on
+            # the table and the image alone; the witness is rebuilt per map
+            key = ("image_values", image.basis)
+            if key not in table._cache:
+                points = _projective_points(f, image)
+                table._cache[key] = next((tuple(v) for v in points if invert_element(table.element(v)) is None), None)
+            if table._cache[key] is not None:
+                return _witnessed_not_div(table, dmap, kernel, image, table._cache[key], "exhaustive")
             return DivReport(dmap, True, kernel, image, "div", None, "exhaustive")
     if isinstance(table.meta, SpinMeta):
         return _spin_norm_verdict(table, dmap, kernel, image, height_bound, point_cap)
@@ -677,7 +686,9 @@ def div_reduction(
         raise NotUnital("reduction is for unital algebras")
     report = has_invertible_values(table, dmap, point_cap=point_cap)
     ideal = largest_ideal_in_kernel(table, dmap)
-    quotient, projection = quotient_algebra(table, ideal)
+    if ("quotient", ideal.basis) not in table._cache:
+        table._cache["quotient", ideal.basis] = quotient_algebra(table, ideal)
+    quotient, projection = table._cache["quotient", ideal.basis]
     pivots = set(ideal.pivots)
     # the quotient basis sits at the non-pivot columns of the ideal
     cols = [projection.apply(col) for m, col in enumerate(zip(*dmap.matrix.rows)) if m not in pivots]
@@ -686,13 +697,12 @@ def div_reduction(
     if report.verdict == "div":
         reduced_report = has_invertible_values(quotient, induced, point_cap=point_cap)
         certify(reduced_report.verdict != "not_div", "reduction may not destroy invertible values")
-        # the quotient is a function of (table, ideal) and the scan is
-        # deterministic, so one scan per quotient serves every hit
-        key = ("quotient_scan", ideal.basis, point_cap)
-        if key not in table._cache:
-            table._cache[key] = simplicity_scan(quotient, point_cap=point_cap)
+        # one quotient per (table, ideal) and a deterministic scan: one scan
+        # per quotient and cap serves every hit
+        if ("simplicity_scan", point_cap) not in quotient._cache:
+            quotient._cache["simplicity_scan", point_cap] = simplicity_scan(quotient, point_cap=point_cap)
         certify(
-            table._cache[key] != "not_simple",
+            quotient._cache["simplicity_scan", point_cap] != "not_simple",
             "quotient by the largest kernel ideal must have no proper principal ideal",
         )
     return ReductionResult(quotient, induced, ideal, projection)
@@ -713,7 +723,9 @@ def _class_may_pass(
     (the verdict is then left to `has_invertible_values`).  The Leibniz
     rule needs no re-check, since the basis is certified and every
     combination inherits it, and no kernel or witness is built.  Needing
-    more than `budget` points is refused.
+    more than `budget` points is refused.  An image found invertible at
+    every point is kept as the exhaustive rung's verdict; `kind` must be
+    `_inversion_kind(table)`, the equations `invert_element` solves.
     """
     f = table.field
     image = dmap.image()
@@ -726,6 +738,7 @@ def _class_may_pass(
             raise CapExceeded(f"image points enumerated by the search exceed the cap {point_cap}")
         if _invert_coords(table, value, kind) is None:
             return False, used
+    table._cache["image_values", image.basis] = None
     return True, used
 
 

@@ -1,9 +1,11 @@
 import itertools
+import math
 import random
 import resource
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from jordanalg import algebra, derivations
@@ -45,9 +47,9 @@ from jordanalg.errors import (
     NotFinite,
     NotUnital,
 )
-from jordanalg.fields import Field, prime_field
+from jordanalg.fields import Field, is_prime, prime_field
 from jordanalg.jordan import jordan_inverse, spin_norm
-from jordanalg.linalg import Matrix, Subspace
+from jordanalg.linalg import Matrix, Subspace, solve_raw
 
 F3 = prime_field(3)
 F5 = prime_field(5)
@@ -805,3 +807,76 @@ def test_sample_derivation_empty_space():
     assert space.dim == 0
     with pytest.raises(BadParameters):
         sample_derivation(space, random.Random(0))
+
+
+# ---------------------------------------------------------------------------
+# the number path of the Leibniz check
+
+
+def _path_top(n, bits=53):
+    """The least b with n * b^2 >= 2^bits: products of inner dimension n
+    with entries up to b leave the float64 (bits=53) or int64 (bits=63)
+    path there."""
+    return math.isqrt(((1 << bits) - 1) // n) + 1
+
+
+def _prime_below(b):
+    while not is_prime(b):
+        b -= 1
+    return b
+
+
+def _prime_above(b):
+    while not is_prime(b):
+        b += 1
+    return b
+
+
+def _on_random_basis(table, rng):
+    """The table on a random basis b'_i = sum_r P[i][r] b_r, so that its
+    structure constants and derivations are dense residues."""
+    f, n = table.field, table.dim
+    while True:
+        rows = [[f.coerce(rng.randrange(f.p) if f.p else rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)]
+        if Matrix(f, rows).rank() == n:
+            break
+    cols = [list(col) for col in zip(*rows)]
+    entries = {}
+    for i, j in itertools.product(range(n), repeat=2):
+        coords = solve_raw(f, cols, table.mul_coords(rows[i], rows[j]))
+        entries.update({(i, j, k): v for k, v in enumerate(coords) if v})
+    unit = solve_raw(f, cols, list(table.unit_coords()))
+    return AlgebraTable(f, n, entries, unit=unit)
+
+
+# (field, the dtype and reduce flag `_sum_path` gives the 4-dim tables)
+LEIBNIZ_PATHS = {
+    "GF7": (prime_field(7), np.float64, False),
+    "GF-float64-boundary": (prime_field(_prime_below(_path_top(4) - 1)), np.float64, True),
+    "GF-past-float64": (prime_field(_prime_above(_path_top(4))), np.int64, False),
+    "GF-int64-boundary": (prime_field(_prime_below(_path_top(4, 63) - 1)), np.int64, True),
+    "GF(2^31-1)": (prime_field(2**31 - 1), object, False),
+    "GF(2^61-1)": (prime_field(2**61 - 1), object, False),
+    "Q": (Q, np.float64, False),
+}
+
+
+@pytest.mark.parametrize("case", list(LEIBNIZ_PATHS))
+def test_leibniz_check_rejects_every_perturbed_entry(monkeypatch, case):
+    field, dtype, reduce = LEIBNIZ_PATHS[case]
+    paths = set()
+    real = derivations._sum_path
+    monkeypatch.setattr(derivations, "_sum_path", lambda *args: paths.add(real(*args)) or real(*args))
+    rng = random.Random(f"leibniz-{case}")
+    # commutative and not, each on its own basis and on a dense one
+    tables = [diagonal_spin_factor(field, [1, 2, 3]), matrix_algebra(scalar_algebra(field), 2)]
+    for table in tables + [_on_random_basis(t, rng) for t in tables]:
+        space = derivation_space(table)
+        assert space.dim == 3
+        for dmap in space.basis:
+            assert is_derivation(table, dmap)
+            for r, c in itertools.product(range(4), repeat=2):
+                rows = [list(row) for row in dmap.matrix.rows]
+                rows[r][c] = field.add(rows[r][c], field.coerce(rng.choice([1, -1])))
+                assert not is_derivation(table, LinearMap(table, Matrix(field, rows))), (r, c)
+    assert paths == {(dtype, reduce)}

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -16,7 +17,13 @@ from jordanalg.constructions import (
     plus_algebra,
     spin_factor,
 )
-from jordanalg.derivations import derivation_space, is_derivation, sample_derivation
+from jordanalg.derivations import (
+    derivation_space,
+    div_search,
+    extend_derivation_eps,
+    is_derivation,
+    sample_derivation,
+)
 from jordanalg.errors import NotUnital, ParseError
 from jordanalg.fields import RATIONALS, prime_field
 from jordanalg.formats import (
@@ -390,3 +397,96 @@ def test_mutated_albert_map_file_exits_cleanly(tmp_path, capsys):
         assert "Traceback" not in err and (code == 0 or err.startswith("error"))
         codes.append(code)
     assert {2, 3} <= set(codes)
+
+
+# ---------------------------------------------------------------------------
+# mutated spin and split-null files: check, divsearch, reduce and invert
+# exit 0, 2 or 3, never with a traceback
+
+
+def _spin_files():
+    """(table, a map for `reduce`, an element for `invert`) of the GF(3)
+    spin factor diag(0, 1, 1), whose hits reduce by a nonzero ideal, and
+    of the split-null extension of diag(1, 1), with the eps-extension of a
+    hit, whose kernel ideal is the radical."""
+    spin = diagonal_spin_factor(F3, [0, 1, 1])
+    base = diagonal_spin_factor(F3, [1, 1])
+    ext, _ = split_null_extension(base)
+    return {
+        "spin": (spin, div_search(spin)[0].map, "1,1,0,0"),
+        "splitnull": (ext, extend_derivation_eps(ext, div_search(base)[0].map), "1,1,0,0,0,0"),
+    }
+
+
+def _commands(alg, mapfile, element):
+    return [
+        ["check", alg, "--which", "jordan"],
+        ["divsearch", alg, "--cap", "729"],
+        ["reduce", alg, mapfile],
+        ["invert", alg, element],
+    ]
+
+
+# SHA-256 of the stdout of `divsearch --cap 729` and `reduce` on the
+# unmutated files, with and without their meta line
+SPIN_FILE_STDOUT = {
+    "divsearch-spin-meta": "50bb46da6f49ee1522d3f5098d69673dd1f1056c72c049eb89094263231aea95",
+    "divsearch-spin-plain": "50bb46da6f49ee1522d3f5098d69673dd1f1056c72c049eb89094263231aea95",
+    "divsearch-splitnull-meta": "def259884eb2ea815d3f02d02c31335c67d794c63a2ee8778de5a14886663310",
+    "divsearch-splitnull-plain": "def259884eb2ea815d3f02d02c31335c67d794c63a2ee8778de5a14886663310",
+    "reduce-spin-meta": "25918e8e2945b717dd01b512c9a0d1d40bd893cc601f8ebd43e567bd42520dfc",
+    "reduce-spin-plain": "25918e8e2945b717dd01b512c9a0d1d40bd893cc601f8ebd43e567bd42520dfc",
+    "reduce-splitnull-meta": "d924961bb77fc232b961998b981865aada424faa25d391f0002f0ffcc112497a",
+    "reduce-splitnull-plain": "d924961bb77fc232b961998b981865aada424faa25d391f0002f0ffcc112497a",
+}
+
+
+def _stdout_digests(tmp_path, capsys, name, table, dmap, element):
+    digests = {}
+    for meta in (True, False):
+        text = "".join(line + "\n" for line in write_algebra(table).splitlines() if meta or not line.startswith("meta"))
+        alg, mapfile = tmp_path / f"{name}-{meta}.alg", tmp_path / f"{name}.map"
+        alg.write_text(text)
+        mapfile.write_text(write_map(dmap))
+        for argv in _commands(str(alg), str(mapfile), element)[1:3]:
+            assert cli.main(argv) == 0
+            digests[f"{argv[0]}-{name}-{'meta' if meta else 'plain'}"] = hashlib.sha256(
+                capsys.readouterr().out.encode()).hexdigest()
+    return digests
+
+
+def test_spin_file_stdout_is_pinned(tmp_path, capsys):
+    digests = {}
+    for name, (table, dmap, element) in _spin_files().items():
+        digests.update(_stdout_digests(tmp_path, capsys, name, table, dmap, element))
+    assert digests == SPIN_FILE_STDOUT
+
+
+@pytest.mark.parametrize("name", ["spin", "splitnull"])
+@pytest.mark.parametrize("meta", [True, False], ids=["meta", "plain"])
+def test_mutated_spin_file_exits_cleanly(tmp_path, capsys, name, meta):
+    table, dmap, element = _spin_files()[name]
+    lines = [line for line in write_algebra(table).splitlines() if meta or not line.startswith("meta")]
+    rng = random.Random(f"mutate-{name}-{meta}")
+    alg, mapfile = tmp_path / "mutated.alg", tmp_path / "d.map"
+    mapfile.write_text(write_map(dmap))
+    # every other mutation spares the unit's rows, so that the unit line
+    # still holds and more tables reach the algorithms
+    unit_rows = [line for line in lines if line.startswith("sc 1 ") or line[3:].split()[1:2] == ["1"]]
+    codes = []
+    for m in range(18):
+        kind = ("value", "drop", "swap")[m % 3]
+        if m % 2:
+            text = _mutate_sc_line([line for line in lines if line not in unit_rows], kind, F3, rng) + unit_rows
+        else:
+            text = _mutate_sc_line(lines, kind, F3, rng)
+        alg.write_text("\n".join(text) + "\n")
+        for argv in _commands(str(alg), str(mapfile), element):
+            code = cli.main(argv)
+            err = capsys.readouterr().err
+            assert code in (0, 2, 3), argv
+            assert "Traceback" not in err and (code == 0 or err.startswith("error"))
+            codes.append(code)
+    # with the meta line every mutation is refused when the file is read;
+    # without it the mutated tables reach the algorithms
+    assert set(codes) == {2} if meta else {0, 3} <= set(codes)

@@ -6,9 +6,10 @@ report field by report field, with a loop that runs the full
 `has_invertible_values` on every nonzero coefficient tuple.  The lean
 class test is compared with the full verdict class by class, and the
 work it does is counted: one lean test per class, one full report per
-hit, and a budget of enumerated points.  `ideal_closure`, which stops
-as soon as it reaches the whole algebra, is compared with a closure run
-to its fixpoint.
+hit, and a budget of enumerated points.  The image verdicts a search
+leaves on a table are compared with the reports of a freshly built equal
+table.  `ideal_closure`, which stops as soon as it reaches the whole
+algebra, is compared with a closure run to its fixpoint.
 """
 
 import itertools
@@ -22,6 +23,7 @@ from hypothesis import strategies as st
 from jordanalg import derivations
 from jordanalg.algebra import (
     AlgebraTable,
+    LinearMap,
     _inversion_kind,
     ideal_closure,
     split_null_extension,
@@ -258,3 +260,87 @@ def closure_cases(draw):
 def test_ideal_closure_matches_fixpoint(case):
     table, space = case
     assert ideal_closure(table, space) == _closure_to_fixpoint(table, space)
+
+
+# ---------------------------------------------------------------------------
+# the image verdicts kept on a table
+
+
+def _fresh_copy(table):
+    """An equal table built anew, so that it has nothing memoized."""
+    entries = {(i, j, k): v for i, j, k, v in table.sc_items()}
+    return AlgebraTable(table.field, table.dim, entries, labels=table.labels, unit=table.unit, meta=table.meta)
+
+
+def _fresh_fields(table, dmap):
+    fresh = _fresh_copy(table)
+    return _fields(has_invertible_values(fresh, LinearMap(fresh, dmap.matrix)))
+
+
+@pytest.mark.parametrize("name", sorted(SEARCH_TABLES))
+def test_warm_table_reports_equal_fresh_table_reports(name):
+    """After a search has filled the table's image verdicts, the report of
+    every member of every class, lambda*D included, equals the report on a
+    fresh equal table: each witness is a preimage under its own map."""
+    table = SEARCH_TABLES[name]
+    div_search(table)
+    space = derivation_space(table)
+    verdicts = set()
+    for tup in itertools.product(range(table.field.p), repeat=space.dim):
+        if any(tup):
+            dmap = space.combination(tup)
+            warm = _fields(has_invertible_values(table, dmap))
+            assert warm == _fresh_fields(table, dmap), tup
+            verdicts.add(warm[4])
+    if name in ("spin-gf3-(0, 1, 1)", "spin-gf7-(1, 2, 3)", "m2-gf3"):
+        assert verdicts == {"div", "not_div"}
+
+
+def test_capped_search_keeps_no_verdict_for_images_past_the_cap():
+    """With point_cap=3 the lean test passes every image of 4 or more
+    points without looking at it, so it may not record them as invertible."""
+    table = diagonal_spin_factor(F3, [1, 1, 1])
+    div_search(table, point_cap=3)
+    space = derivation_space(table)
+    verdicts = []
+    for tup in itertools.product(range(3), repeat=space.dim):
+        if any(tup):
+            dmap = space.combination(tup)
+            report = has_invertible_values(table, dmap)
+            assert _fields(report) == _fresh_fields(table, dmap), tup
+            verdicts.append((report.image.dim, report.verdict))
+    assert (2, "not_div") in verdicts and (2, "div") in verdicts
+
+
+@pytest.mark.parametrize("name", ["spin-gf3-(0, 1, 1)", "spin-gf7-(1, 2, 3)", "spin-gf5-(0, 1, 2)", "m2-gf3"])
+def test_search_and_reductions_invert_no_point_of_the_table_again(name, monkeypatch):
+    """The lean class test leaves its verdict on the table, so the full
+    reports of the hits and their reductions enumerate no image of the
+    table again; the quotient's own images are still enumerated."""
+    table = _fresh_copy(SEARCH_TABLES[name])
+    real = derivations.invert_element
+    seen = []
+
+    def spy(x):
+        seen.append(x.algebra is table)
+        return real(x)
+
+    monkeypatch.setattr(derivations, "invert_element", spy)
+    hits = div_search(table)
+    for hit in hits:
+        derivations.div_reduction(table, hit.map)
+    assert hits and seen and not any(seen)
+
+
+def test_hits_that_reduce_by_one_ideal_share_one_quotient(monkeypatch):
+    table = diagonal_spin_factor(F7, [0, 1, 1])
+    hits = div_search(table)
+    built = []
+    real = derivations.quotient_algebra
+    monkeypatch.setattr(derivations, "quotient_algebra", lambda *args: built.append(args) or real(*args))
+    results = [derivations.div_reduction(table, hit.map) for hit in hits]
+    first = {}
+    for result in results:
+        twin = first.setdefault(result.ideal.basis, result)
+        assert result.quotient is twin.quotient and result.projection is twin.projection
+    assert len(hits) > len(first) == len(built)
