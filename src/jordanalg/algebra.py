@@ -13,7 +13,6 @@ bound it checks, so no check ever rounds.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -38,6 +37,7 @@ from .linalg import (
     _int_image,
     _is_zero_mod,
     _magnitude,
+    _projective_points,
     _sum_path,
     combine_raw,
     solve_raw,
@@ -791,17 +791,15 @@ def is_division_algebra(table: AlgebraTable, cap: int = 10**6) -> str:
     """'yes' / 'no' / 'unknown': are all nonzero elements invertible?
 
     Exhaustive over GF(p) when p^dim stays under the cap; anything
-    larger (and every rational table) is 'unknown'.
+    larger (and every rational table) is 'unknown'.  One point per line
+    decides the line: if y inverts x then λ⁻¹y inverts λx, under each
+    kind's equations, since (λx)(λ⁻¹y) = xy and (λx)²(λ⁻¹y) = λx²y.
     """
     if table.unit_coords() is None:
         raise NotUnital("division-algebra scan needs a unit")
-    if table.field.is_rational:
-        return "unknown"
-    p = table.field.p
-    if p**table.dim > cap:
+    f = table.field
+    if f.is_rational or f.p**table.dim > cap:
         return "unknown"
     kind = _inversion_kind(table)
-    for tup in itertools.product(range(p), repeat=table.dim):
-        if any(tup) and _invert_coords(table, tup, kind) is None:
-            return "no"
-    return "yes"
+    points = _projective_points(f, Subspace.full(f, table.dim))
+    return "no" if any(_invert_coords(table, v, kind) is None for v in points) else "yes"

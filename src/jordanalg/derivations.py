@@ -65,6 +65,7 @@ from .linalg import (
     _is_zero_mod,
     _magnitude,
     _nullspace_mod_staged,
+    _projective_points,
     _sum_path,
     combine_raw,
     diagonalize_symmetric_form,
@@ -264,21 +265,6 @@ class DivReport:
     witness: Element | None
     method: str  # "exhaustive" | "spin_norm" | "albert_recipe" | "cap_exceeded"
     note: str = ""
-
-
-def _projective_points(field, space: Subspace, *, trailing_first: bool = False):
-    """Ambient vectors covering every line of the subspace once.
-
-    Enumeration is by coefficient tuples on the echelon basis whose
-    first nonzero coefficient is 1, in lexicographic order; with
-    `trailing_first` the lead index runs from the last basis vector to
-    the first, so the span of the trailing vectors comes first.
-    """
-    m = space.dim
-    leads = range(m - 1, -1, -1) if trailing_first else range(m)
-    for lead in leads:
-        for tail in itertools.product(range(field.p), repeat=m - lead - 1):
-            yield combine_raw(field, (1,) + tail, space.basis[lead:])
 
 
 def _witnessed_not_div(table, dmap, kernel, image, value_coords, method, note=""):
@@ -726,20 +712,33 @@ def _class_may_pass(
     more than `budget` points is refused.  An image found invertible at
     every point is kept as the exhaustive rung's verdict; `kind` must be
     `_inversion_kind(table)`, the equations `invert_element` solves.
+
+    The points enumerated depend on the table and the image alone (up to
+    the first non-invertible one), so each image is enumerated once per
+    table and a repeat is charged that count again, raising where the
+    enumeration would have raised.
     """
     f = table.field
     image = dmap.image()
     if (f.p**image.dim - 1) // (f.p - 1) > point_cap:
         return True, 0
-    used = 0
-    for value in _projective_points(f, image, trailing_first=True):
-        used += 1
-        if used > budget:
-            raise CapExceeded(f"image points enumerated by the search exceed the cap {point_cap}")
-        if _invert_coords(table, value, kind) is None:
-            return False, used
-    table._cache["image_values", image.basis] = None
-    return True, used
+    key = ("class_values", image.basis)
+    if key not in table._cache:
+        used, passes = 0, True
+        for value in _projective_points(f, image, trailing_first=True):
+            used += 1
+            if used > budget:
+                raise CapExceeded(f"image points enumerated by the search exceed the cap {point_cap}")
+            if _invert_coords(table, value, kind) is None:
+                passes = False
+                break
+        table._cache[key] = passes, used
+        if passes:
+            table._cache["image_values", image.basis] = None
+    passes, used = table._cache[key]
+    if used > budget:
+        raise CapExceeded(f"image points enumerated by the search exceed the cap {point_cap}")
+    return passes, used
 
 
 def div_search(

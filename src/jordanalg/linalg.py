@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import compress, count
+from itertools import compress, count, product
 from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
@@ -881,12 +881,19 @@ def spin_closure(space: Subspace, images) -> Subspace:
     return Subspace.full(f, n) if len(rows) == n else Subspace._wrap(f, n, rows)
 
 
-def rref(m: Matrix) -> tuple[Matrix, int, tuple[int, ...]]:
-    return m.rref()
+def _projective_points(field: Field, space: Subspace, *, trailing_first: bool = False):
+    """Ambient vectors covering every line of the subspace once.
 
-
-def nullspace(m: Matrix) -> Subspace:
-    return m.nullspace()
+    Enumeration is by coefficient tuples on the echelon basis whose
+    first nonzero coefficient is 1, in lexicographic order; with
+    `trailing_first` the lead index runs from the last basis vector to
+    the first, so the span of the trailing vectors comes first.
+    """
+    m = space.dim
+    leads = range(m - 1, -1, -1) if trailing_first else range(m)
+    for lead in leads:
+        for tail in product(range(field.p), repeat=m - lead - 1):
+            yield combine_raw(field, (1,) + tail, space.basis[lead:])
 
 
 def solve(m: Matrix, rhs: Sequence) -> tuple | None:

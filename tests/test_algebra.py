@@ -623,6 +623,59 @@ def test_is_division_algebra_verdicts():
         is_division_algebra(AlgebraTable(prime_field(5), 2, {}))
 
 
+def _division_by_all_tuples(table):
+    """The scan that inverts every nonzero tuple, not one point per line."""
+    kind = algebra._inversion_kind(table)
+    for tup in itertools.product(range(table.field.p), repeat=table.dim):
+        if any(tup) and algebra._invert_coords(table, tup, kind) is None:
+            return "no"
+    return "yes"
+
+
+def _random_unital_table(field, n, rng):
+    """e_0 is the unit; the other products are drawn, often zero."""
+    entries = {(0, j, j): 1 for j in range(n)} | {(j, 0, j): 1 for j in range(n)}
+    for i, j, k in itertools.product(range(1, n), range(1, n), range(n)):
+        if rng.random() < 0.4:
+            entries[i, j, k] = rng.randrange(1, field.p)
+    return AlgebraTable(field, n, entries, unit=[1] + [0] * (n - 1))
+
+
+def test_division_scan_inverts_one_point_per_line(monkeypatch):
+    """On tables whose every nonzero element is invertible the scan makes
+    (p^n - 1)/(p - 1) inversions, one per line; on the three inversion
+    kinds its verdicts equal those of the scan over every tuple."""
+    f3, f5, f7 = prime_field(3), prime_field(5), prime_field(7)
+    fields = [
+        AlgebraTable(f5, 1, {(0, 0, 0): 1}, unit=[1]),
+        quadratic_extension_table(),
+        small_spin_table(f7, [3]),
+        # GF(3)[t] / (t^3 - t - 1)
+        AlgebraTable(f3, 3, {(0, j, j): 1 for j in range(3)} | {(j, 0, j): 1 for j in range(3)}
+                     | {(1, 1, 2): 1, (1, 2, 0): 1, (2, 1, 0): 1, (1, 2, 1): 1, (2, 1, 1): 1,
+                        (2, 2, 1): 1, (2, 2, 2): 1}, unit=[1, 0, 0]),
+    ]
+    calls = []
+    real = algebra._invert_coords
+    monkeypatch.setattr(algebra, "_invert_coords", lambda *args: calls.append(args) or real(*args))
+    for table in fields:
+        calls.clear()
+        assert is_division_algebra(table) == "yes"
+        p, n = table.field.p, table.dim
+        assert len(calls) == (p**n - 1) // (p - 1)
+    rng = random.Random(7301)
+    # dual numbers: the one non-invertible line is the last one scanned
+    tables = fields + [small_spin_table(f3, [0]), small_spin_table(f5, [0]), m2_table(f3)]
+    tables += [_random_unital_table(f, n, rng) for f, n in ((f3, 2), (f3, 3), (f5, 2), (f3, 4)) for _ in range(8)]
+    kinds, verdicts = set(), set()
+    for table in tables:
+        verdict = is_division_algebra(table)
+        assert verdict == _division_by_all_tuples(table)
+        kinds.add(algebra._inversion_kind(table))
+        verdicts.add(verdict)
+    assert kinds == {"jordan", "associative", "generic"} and verdicts == {"yes", "no"}
+
+
 def test_invert_element():
     t = quadratic_extension_table()
     x = t.element([1, 1])

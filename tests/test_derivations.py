@@ -4,9 +4,12 @@ import random
 import resource
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jordanalg import algebra, derivations
 from jordanalg.algebra import AlgebraTable, LinearMap, invert_element, split_null_extension
@@ -880,3 +883,51 @@ def test_leibniz_check_rejects_every_perturbed_entry(monkeypatch, case):
                 rows[r][c] = field.add(rows[r][c], field.coerce(rng.choice([1, -1])))
                 assert not is_derivation(table, LinearMap(table, Matrix(field, rows))), (r, c)
     assert paths == {(dtype, reduce)}
+
+
+# ---------------------------------------------------------------------------
+# sympy as an independent oracle for the Leibniz system over Q
+
+
+def _sympy_leibniz_nullspace(sympy, table):
+    """Nullspace of the dense Leibniz system of every ordered pair, with
+    D(e_j) = sum_r d[r, j] e_r and d[r, c] the unknown r * n + c."""
+    n = table.dim
+    c = {(i, j, k): v for i, j, k, v in table.sc_items()}
+    rows = []
+    for i, j, t in itertools.product(range(n), repeat=3):
+        row = [0] * (n * n)
+        for k in range(n):  # D(e_i e_j)_t - (D(e_i) e_j)_t - (e_i D(e_j))_t
+            row[t * n + k] += c.get((i, j, k), 0)
+            row[k * n + i] -= c.get((k, j, t), 0)
+            row[k * n + j] -= c.get((i, k, t), 0)
+        rows.append([sympy.Rational(x.numerator, x.denominator) for x in map(Fraction, row)])
+    return sympy.Matrix(rows).nullspace()
+
+
+@st.composite
+def rational_commutative_tables(draw):
+    """A few random products on a basis that is, when drawn, unital with
+    e_0 as unit; sparse, so that many tables have derivations."""
+    n = draw(st.integers(1, 4))
+    unital = draw(st.booleans())
+    entries = {(0, j, j): 1 for j in range(n)} if unital else {}
+    for _ in range(draw(st.integers(0, 2 * n))):
+        i, j = sorted(draw(st.integers(int(unital and n > 1), n - 1)) for _ in range(2))
+        k = draw(st.integers(0, n - 1))
+        v = draw(st.sampled_from([1, -1, 2, Fraction(1, 2), Fraction(-3, 2)]))
+        entries[i, j, k] = entries[j, i, k] = v
+    return AlgebraTable(Q, n, entries)
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(rational_commutative_tables())
+def test_derivation_space_spans_the_sympy_nullspace(table):
+    sympy = pytest.importorskip("sympy")
+    expected = _sympy_leibniz_nullspace(sympy, table)
+    ours = [[sympy.Rational(x.numerator, x.denominator) for row in d.matrix.rows for x in row]
+            for d in derivation_space(table).basis]
+    assert len(ours) == len(expected)
+    if ours:
+        theirs = sympy.Matrix.hstack(*expected).T
+        assert sympy.Matrix(ours).rref()[0] == theirs.rref()[0]

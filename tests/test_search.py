@@ -8,7 +8,9 @@ class test is compared with the full verdict class by class, and the
 work it does is counted: one lean test per class, one full report per
 hit, and a budget of enumerated points.  The image verdicts a search
 leaves on a table are compared with the reports of a freshly built equal
-table.  `ideal_closure`, which stops as soon as it reaches the whole
+table, and the class verdicts it keeps must exhaust the point budget at
+the same cap as a lean test that enumerates every class's image again.
+`ideal_closure`, which stops as soon as it reaches the whole
 algebra, is compared with a closure run to its fixpoint.
 """
 
@@ -344,3 +346,86 @@ def test_hits_that_reduce_by_one_ideal_share_one_quotient(monkeypatch):
         twin = first.setdefault(result.ideal.basis, result)
         assert result.quotient is twin.quotient and result.projection is twin.projection
     assert len(hits) > len(first) == len(built)
+
+
+# ---------------------------------------------------------------------------
+# class verdicts kept on a table, charged at their point counts
+
+
+def _uncached_class_may_pass(table, kind, dmap, point_cap, budget):
+    """The lean class test that enumerates every class's image again."""
+    f = table.field
+    image = dmap.image()
+    if (f.p**image.dim - 1) // (f.p - 1) > point_cap:
+        return True, 0
+    used = 0
+    for value in derivations._projective_points(f, image, trailing_first=True):
+        used += 1
+        if used > budget:
+            raise CapExceeded(f"image points enumerated by the search exceed the cap {point_cap}")
+        if derivations._invert_coords(table, value, kind) is None:
+            return False, used
+    table._cache["image_values", image.basis] = None
+    return True, used
+
+
+def _outcome(table, point_cap):
+    try:
+        return [_fields(r) for r in div_search(table, point_cap=point_cap)]
+    except CapExceeded as exc:
+        return str(exc)
+
+
+def _reference_point_total(table, monkeypatch):
+    """Points the uncached lean tests enumerate over a whole search, and
+    whether some class repeats an image of an earlier class."""
+    used, images = [], []
+
+    def counted(searched, kind, dmap, point_cap, budget):
+        images.append(dmap.image().basis)
+        passes, n = _uncached_class_may_pass(searched, kind, dmap, point_cap, budget)
+        used.append(n)
+        return passes, n
+
+    with monkeypatch.context() as m:
+        m.setattr(derivations, "_class_may_pass", counted)
+        div_search(_fresh_copy(table))
+    return sum(used), len(set(images)) < len(images)
+
+
+def _reference_outcome(table, point_cap, monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(derivations, "_class_may_pass", _uncached_class_may_pass)
+        return _outcome(_fresh_copy(table), point_cap)
+
+
+@pytest.mark.parametrize("name", ["spin-gf3-(0, 1, 1)", "spin-gf3-(0, 0, 1)", "spin-gf5-(0, 1, 2)",
+                                  "ext-gf3-(1, 0)-shift2", "ext-gf3-(0,)-shift0"])
+def test_cached_class_verdicts_run_out_at_the_uncached_point_total(name, monkeypatch):
+    """A search runs out of points one below the total that the uncached
+    lean tests enumerate and passes at that total, on a fresh table and
+    on one whose class verdicts are all kept, with equal hits."""
+    table = SEARCH_TABLES[name]
+    total, repeats = _reference_point_total(table, monkeypatch)
+    assert repeats
+    warm = _fresh_copy(table)
+    div_search(warm)
+    for cap in (total - 1, total):
+        expected = _reference_outcome(table, cap, monkeypatch)
+        assert _outcome(_fresh_copy(table), cap) == expected
+        assert _outcome(warm, cap) == expected
+        assert "image points" in expected if cap < total else expected == [_fields(r) for r in div_search(table)]
+
+
+def test_class_verdicts_charge_like_the_uncached_test_at_every_cap(monkeypatch):
+    """Every cap up to past the point total, on a fresh table and on one
+    table searched at rising caps, so that it keeps the verdicts of
+    searches that ran out of points or took the point-cap shortcut."""
+    table = diagonal_spin_factor(F3, [0, 1, 1])
+    total, repeats = _reference_point_total(table, monkeypatch)
+    assert total == 139 and repeats
+    warm = _fresh_copy(table)
+    for cap in range(total + 2):
+        expected = _reference_outcome(table, cap, monkeypatch)
+        assert _outcome(_fresh_copy(table), cap) == expected, cap
+        assert _outcome(warm, cap) == expected, cap
