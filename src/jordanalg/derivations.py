@@ -70,7 +70,6 @@ from .linalg import (
     combine_raw,
     diagonalize_symmetric_form,
     dot_raw,
-    nullspace_int_crt,
     spin_closure,
 )
 
@@ -148,10 +147,10 @@ class DerivationSpace:
 
 # Largest Leibniz system, in bytes, that `derivation_space` accepts,
 # measured as the dense array of one int64 (or wider) entry per cell.
-# Over GF(p) that array is never allocated: the system is kept as its
-# nonzero entries.  The dense 27-dim Albert system would take about
-# 60 MB; the 64-dim M_8 over GF(3) would take about 8.6 GB and is refused
-# with CapExceeded.
+# That array is never allocated, over either field: the system is kept
+# as its nonzero entries.  The dense 27-dim Albert system would take
+# about 60 MB; the 64-dim M_8 over GF(3) would take about 8.6 GB and is
+# refused with CapExceeded.
 LEIBNIZ_BYTE_CAP = 2**30
 
 
@@ -216,11 +215,7 @@ def derivation_space(table: AlgebraTable) -> DerivationSpace:
             f"over the cap of {LEIBNIZ_BYTE_CAP}"
         )
     c, _ = table.structure_int_tensor()
-    system = _leibniz_entries(c, pairs)
-    if f.is_rational:
-        basis = nullspace_int_crt(system.dense(c.dtype), n * n)
-    else:
-        basis = _nullspace_mod_staged(system, f.p).tolist()
+    basis = _nullspace_mod_staged(_leibniz_entries(c, pairs), f.p).tolist()
     maps = [
         LinearMap(table, Matrix._wrap(f, [null_row[r * n : (r + 1) * n] for r in range(n)]))
         for null_row in basis
@@ -753,8 +748,8 @@ def div_search(
 
     lambda*D has the image of D, so one lean verdict serves each
     projective class; only members of classes that pass get the full
-    `has_invertible_values` report.  `point_cap` bounds both the points
-    of one image and the points enumerated over the whole search.
+    `has_invertible_values` report.  `point_cap` bounds the points of one
+    image and of the whole search; a report left "unknown" raises CapExceeded.
     """
     f = table.field
     if f.is_rational:
@@ -786,6 +781,8 @@ def div_search(
         if not passes:
             continue
         report = has_invertible_values(table, space.combination(tup), point_cap=point_cap)
+        if report.verdict == "unknown":
+            raise CapExceeded(f"a derivation's values are left undecided at the point cap {point_cap}")
         if report.verdict == "div":
             hits.append(report)
     return hits

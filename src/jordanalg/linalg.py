@@ -19,17 +19,19 @@ stays below 2^53, int64 below 2^63, object dtype beyond.  Over GF(p) the
 bound follows from p alone; over Q it comes from a scan of the inputs.
 `_exact_matmul` runs one product; `_is_zero_mod` tests a sum exactly.
 
-Tall GF(p) nullspaces run through `_nullspace_mod_staged`.  It takes a
-matrix as entry triples (`Entries`), an array or rows; one of more than
-`_NP_THRESHOLD` cells is split into its independent column blocks, and
-each block is eliminated on the kernel for its size, the numpy one in
-chunks of rows.  The Leibniz system comes as triples, so over GF(p) its
-dense form, which `derivations.LEIBNIZ_BYTE_CAP` bounds, is never
-allocated.  Large rational nullspaces are computed modulo several primes
-and lifted by rational reconstruction; the lifted basis is verified
-against the original matrix with exact integer arithmetic, and when it
-cannot be certified the system is solved on the exact Python kernel,
-so the fast path cannot silently produce a wrong answer.
+Tall nullspaces over both fields run through `_nullspace_mod_staged`
+(``p=None`` for Q).  It takes a matrix as entry triples (`Entries`), an
+array or rows; one of more than `_NP_THRESHOLD` cells is split into its
+independent column blocks (over Q from exact sums, never residues), a
+smaller one is a single dense block.  Over GF(p) each block is
+eliminated on the kernel for its size, the numpy one in chunks of rows.
+Over Q each block goes to `nullspace_int_crt`: it is solved modulo
+several primes and lifted by rational reconstruction; the lifted basis
+is verified against the block with exact integer arithmetic, and when
+it cannot be certified the block is solved on the exact Python kernel,
+so the fast path cannot silently produce a wrong answer.  The Leibniz
+system comes as triples, so its dense form, which
+`derivations.LEIBNIZ_BYTE_CAP` bounds, is never allocated.
 
 Pivoting is deterministic everywhere: leftmost pivot column first, and
 within a column the first row with a nonzero entry.
@@ -308,7 +310,7 @@ def nullspace_raw(field: Field, rows: Sequence[Sequence[RawScalar]], ncols: int)
     if field.is_rational:
         if nrows * ncols * min(nrows, ncols) > _CRT_THRESHOLD:
             # each row is scaled on its own, which leaves the nullspace unchanged
-            return nullspace_int_crt(np.vstack([_int_image(field, [row])[0] for row in rows]), ncols)
+            return _nullspace_mod_staged(np.vstack([_int_image(field, [row])[0] for row in rows]), None).tolist()
     elif nrows * ncols > _NP_THRESHOLD:
         return _nullspace_mod_staged([list(r) for r in rows], field.p).tolist()
     return _nullspace_exact(field, [list(r) for r in rows], ncols)
@@ -363,7 +365,7 @@ def _identity_raw(field: Field, n: int):
 
 
 # ---------------------------------------------------------------------------
-# staged modular nullspace (big GF(p) systems)
+# staged nullspace of tall systems, over GF(p) and Q
 
 
 class Entries(NamedTuple):
@@ -376,17 +378,12 @@ class Entries(NamedTuple):
     cols: np.ndarray
     vals: np.ndarray
 
-    def dense(self, dtype) -> np.ndarray:
-        a = np.zeros(self.shape, dtype=dtype)
-        np.add.at(a, (self.rows, self.cols), self.vals)
-        return a
 
-
-def _entries_mod(m, p: int) -> Entries:
-    """The nonzero residues mod p of a matrix (Entries, array or rows) as
-    triples.  A dense matrix gives one triple per nonzero cell, row by
-    row; triples given as Entries keep their order and repeats."""
-    dtype = _int_dtype(p - 1)
+def _entries_mod(m, p: int | None) -> Entries:
+    """A matrix (Entries, array or rows) as triples of its nonzero residues
+    mod p, or of its nonzero integers when p is None.  A dense matrix gives
+    one triple per nonzero cell, row by row; Entries keep order and repeats."""
+    dtype = _int_dtype(p - 1) if p else object
     if isinstance(m, Entries):
         shape, rows, cols, vals = m
     else:
@@ -394,26 +391,34 @@ def _entries_mod(m, p: int) -> Entries:
         shape = a.shape
         rows, cols = np.nonzero(a)
         vals = a[rows, cols]
-    vals = (vals.astype(object) if dtype is object else vals) % p
+    if p:
+        vals = ((vals.astype(object) if dtype is object else vals) % p).astype(dtype, copy=False)
     keep = np.flatnonzero(vals)
-    return Entries(shape, rows[keep], cols[keep], vals[keep].astype(dtype))
+    return Entries(shape, rows[keep], cols[keep], vals[keep])
 
 
-def _column_blocks(e: Entries, p: int):
+def _column_blocks(e: Entries, p: int | None):
     """The independent column blocks of a matrix of `_entries_mod`
     triples: (columns, the block's nonzero rows on those columns) per
     block, in the order of the blocks' least columns.  Two columns share
-    a block when some row has nonzero entries in both; a column in no
-    row is a block of its own, with no rows."""
+    a block when some row has nonzero entries in both, mod p or, when p
+    is None, over Q; a column in no row is a block of its own, with no
+    rows.  A matrix of at most `_NP_THRESHOLD` cells is one dense block."""
     nrows, ncols = e.shape
     _, rows, cols, vals = e
+    if nrows * ncols <= _NP_THRESHOLD:
+        a = np.zeros(e.shape, dtype=vals.dtype)
+        np.add.at(a, (rows, cols), vals)
+        yield np.arange(ncols), a % p if p else a
+        return
     key = rows * ncols + cols
     if not (key[1:] > key[:-1]).all():
         # one triple per nonzero cell, row by row: the sum of its triples
         key, where = np.unique(key, return_inverse=True)
         vals = np.zeros(key.size, dtype=e.vals.dtype)
         np.add.at(vals, where, e.vals)
-        vals %= p
+        if p:
+            vals %= p
         keep = np.flatnonzero(vals)
         rows, cols = np.divmod(key[keep], ncols)
         vals = vals[keep]
@@ -445,26 +450,21 @@ def _column_blocks(e: Entries, p: int):
         yield block_cols, a
 
 
-def _nullspace_mod_staged(m, p: int, chunk: int = 3000) -> np.ndarray:
-    """Canonical nullspace basis over GF(p) of a tall matrix: entry
-    triples (`Entries`), an array or rows.
+def _nullspace_mod_staged(m, p: int | None, chunk: int = 3000) -> np.ndarray:
+    """Canonical nullspace basis of a tall integer matrix over GF(p), or
+    over Q when p is None: entry triples (`Entries`), an array or rows.
 
-    A matrix of more than `_NP_THRESHOLD` cells is split into its
-    independent column blocks; no row links two blocks, so the nullspace
-    is the direct sum of the blocks' nullspaces, and their canonical
-    bases, placed back in their columns and sorted by pivot, make the
-    canonical basis of the whole.  A smaller matrix is one block.  As in
-    `rref_raw`, a block of at most `_NP_THRESHOLD` cells is reduced on
-    the Python kernel and a larger one in chunks on the numpy kernel.
+    The matrix is split into its independent column blocks; no row links
+    two blocks, so the nullspace is the direct sum of the blocks'
+    nullspaces, and their canonical bases, placed back in their columns
+    and sorted by pivot, make the canonical basis of the whole.
     """
     e = _entries_mod(m, p)
-    nrows, ncols = e.shape
-    if nrows * ncols <= _NP_THRESHOLD:
-        return _block_nullspace(e.dense(e.vals.dtype) % p, p, chunk)[0]
+    ncols = e.shape[1]
     parts, pivots = [], []
     for block_cols, a in _column_blocks(e, p):
         ns, piv = _block_nullspace(a, p, chunk)
-        full = np.zeros((ns.shape[0], ncols), dtype=ns.dtype)
+        full = np.full((ns.shape[0], ncols), 0 if p else Fraction(0), dtype=ns.dtype)
         full[:, block_cols] = ns
         parts.append(full)
         pivots += block_cols[piv].tolist()
@@ -472,17 +472,21 @@ def _nullspace_mod_staged(m, p: int, chunk: int = 3000) -> np.ndarray:
     return np.concatenate(parts)[order]
 
 
-def _block_nullspace(m: np.ndarray, p: int, chunk: int) -> tuple[np.ndarray, list[int]]:
-    """Canonical nullspace basis over GF(p) of an array of residues, and
-    the pivot column of each basis row.
+def _block_nullspace(m: np.ndarray, p: int | None, chunk: int) -> tuple[np.ndarray, list[int]]:
+    """Canonical nullspace basis of an integer array over GF(p), or over
+    Q when p is None, and the pivot column of each basis row.
 
-    Up to `_NP_THRESHOLD` cells the rows are reduced on the Python
-    kernel.  Beyond, they are consumed in chunks on the numpy kernel;
-    after each chunk the candidate space is cut down by the chunk's
-    constraints expressed in the current basis, so the expensive
-    full-width elimination happens only once.
+    Over Q the block goes to `nullspace_int_crt`.  Over GF(p), up to
+    `_NP_THRESHOLD` cells the rows are reduced on the Python kernel.
+    Beyond, they are consumed in chunks on the numpy kernel; after each
+    chunk the candidate space is cut down by the chunk's constraints
+    expressed in the current basis, so the expensive full-width
+    elimination happens only once.
     """
     ncols = m.shape[1]
+    if p is None:
+        basis = nullspace_int_crt(m, ncols)
+        return np.array(basis, dtype=object).reshape(-1, ncols), [next(compress(count(), r)) for r in basis]
     dtype = _int_dtype(p - 1)
     if m.size <= _NP_THRESHOLD:
         basis, piv = _nullspace_lists(m.tolist(), ncols, p)

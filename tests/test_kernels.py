@@ -7,7 +7,8 @@ kernels with each other and with sympy, pin the derivation maps the
 numpy kernel produces, and check the exact fallbacks and self-checks
 around them.  Property tests (hypothesis) compare the block-by-block
 GF(p) nullspace with exact elimination on block-diagonal systems given
-as arrays, rows and entry triples.
+as arrays, rows and entry triples, and the block-by-block rational
+nullspace with sympy.
 """
 
 import hashlib
@@ -39,8 +40,11 @@ from jordanalg.derivations import derivation_space, is_derivation
 from jordanalg.errors import CertificationError
 from jordanalg.fields import RATIONALS, prime_field
 from jordanalg.linalg import (
+    _CRT_PRIMES,
     _NP_THRESHOLD,
     Entries,
+    _column_blocks,
+    _entries_mod,
     _nullspace_exact,
     _nullspace_mod_staged,
     _rref_mod_np,
@@ -356,7 +360,9 @@ def test_leibniz_entries_and_basis_match_the_dense_system(name):
     else:
         pairs = [(i, j) for i in range(n) for j in range(n)]
     system = derivations._leibniz_entries(c, pairs)
-    assert np.array_equal(system.dense(c.dtype), dense)
+    scattered = np.zeros(system.shape, dtype=c.dtype)
+    np.add.at(scattered, (system.rows, system.cols), system.vals)
+    assert np.array_equal(scattered, dense)
     f = table.field
     rows = [[f.coerce(int(x)) for x in row] for row in dense.tolist()]
     expected = _nullspace_exact(f, rows, n * n)
@@ -374,6 +380,179 @@ def test_albert_derivation_space_allocates_no_dense_system():
         tracemalloc.stop()
     assert space.dim == 52
     assert peak < 16 * 2**20
+
+
+def test_albert_derivation_space_allocates_no_dense_system_over_q():
+    # over Q too: the column blocks come from exact sums of the triples
+    table = albert_type(RATIONALS, [1, 2, 3], [1, 2, 4])
+    tracemalloc.start()
+    try:
+        space = derivation_space(table)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert space.dim == 52
+    assert peak < 16 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# rational nullspaces, block by block
+
+
+def _sympy_nullspace(sympy, rows, ncols):
+    """The reduced echelon basis of the nullspace, by sympy."""
+    vectors = sympy.Matrix(len(rows), ncols, [sympy.Integer(x) if isinstance(x, int) else
+                                             sympy.Rational(x.numerator, x.denominator)
+                                             for row in rows for x in row]).nullspace()
+    if not vectors:
+        return []
+    red = sympy.Matrix.hstack(*vectors).T.rref()[0]
+    return [[Fraction(int(x.p), int(x.q)) for x in red.row(i)] for i in range(red.rows)]
+
+
+def _linked_groups(rng, link):
+    """A tall integer system of two column groups of 20, each of rank 12,
+    and one row linking column 0 to column 20 with the entries 1, link."""
+    rows = []
+    for lo in (0, 20):
+        base = [[rng.randrange(-9, 10) for _ in range(20)] for _ in range(12)]
+        for _ in range(60):
+            full = [0] * 40
+            coeffs = [rng.randrange(-3, 4) for _ in base]
+            full[lo : lo + 20] = [sum(k * b[j] for k, b in zip(coeffs, base)) for j in range(20)]
+            rows.append(full)
+    linking = [0] * 40
+    linking[0], linking[20] = 1, link
+    return rows + [linking]
+
+
+def _as_rational_triples(rng, rows, ncols):
+    """The rows as shuffled entry triples over Z: every nonzero entry
+    split in two, and on each row one pair of triples that cancel."""
+    triples = []
+    for i, row in enumerate(rows):
+        for j, v in enumerate(row):
+            if v:
+                x = rng.randrange(-50, 50)
+                triples += [(i, j, x), (i, j, v - x)]
+        j, y = rng.randrange(ncols), rng.randrange(1, 50)
+        triples += [(i, j, y), (i, j, -y)]
+    rng.shuffle(triples)
+    r, c, v = zip(*triples)
+    dtype = object if max(abs(x) for x in v) >= 2**62 else np.int64
+    return Entries((len(rows), ncols), np.array(r), np.array(c), np.array(v, dtype=dtype))
+
+
+def test_rational_blocks_keep_a_link_that_vanishes_mod_a_crt_prime():
+    p = _CRT_PRIMES[0]
+    rows = _linked_groups(random.Random(7107), p)
+    assert len(rows) * 40 > _NP_THRESHOLD
+    m = np.array(rows, dtype=np.int64)
+    # one block over Q; two mod p, where the link is 0
+    assert len(list(_column_blocks(_entries_mod(m, None), None))) == 1
+    assert len(list(_column_blocks(_entries_mod(m, p), p))) == 2
+    expected = _nullspace_exact(RATIONALS, [[Fraction(v) for v in row] for row in rows], 40)
+    unlinked = _nullspace_exact(RATIONALS, [[Fraction(v % p) for v in row] for row in rows], 40)
+    assert expected != unlinked
+    triples = _as_rational_triples(random.Random(7108), rows, 40)
+    for given_m in (m, rows, triples):
+        assert _nullspace_mod_staged(given_m, None).tolist() == expected
+
+
+@st.composite
+def integer_block_systems(draw):
+    """(rows, ncols): a block-diagonal integer system with its columns
+    permuted and its rows shuffled, some entries past 2^63.  A block is
+    triangular with a nonzero diagonal, of low rank, or random; zero
+    rows and repeated rows are mixed in."""
+    widths = draw(st.lists(st.integers(1, 4), min_size=1, max_size=5))
+    ncols = sum(widths)
+    perm = draw(st.permutations(range(ncols)))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    big = draw(st.sampled_from((9, 2**64 + 13)))
+
+    def entry():
+        return rng.choice((rng.randrange(-9, 10), rng.choice((-big, big)) + rng.randrange(-3, 4)))
+
+    rows = []
+    lo = 0
+    for w in widths:
+        cols = perm[lo : lo + w]
+        lo += w
+        kind = draw(st.sampled_from(("triangular", "low_rank", "random")))
+        if kind == "triangular":
+            local = [[0] * i + [entry() or 1] + [entry() for _ in range(w - i - 1)] for i in range(w)]
+        elif kind == "low_rank":
+            base = [[entry() for _ in range(w)] for _ in range(draw(st.integers(1, max(w - 1, 1))))]
+            local = [[sum(k * b[j] for k, b in zip(coeffs, base)) for j in range(w)]
+                     for coeffs in ([rng.randrange(-2, 3) for _ in base] for _ in range(draw(st.integers(1, 5))))]
+        else:
+            local = [[entry() for _ in range(w)] for _ in range(draw(st.integers(0, 3)))]
+        for row in local:
+            full = [0] * ncols
+            for c, v in zip(cols, row):
+                full[c] = v
+            rows.append(full)
+    rows += [[0] * ncols for _ in range(draw(st.integers(1, 2)))]
+    rows += [list(rows[rng.randrange(len(rows))]) for _ in range(draw(st.integers(0, 3)))]
+    rng.shuffle(rows)
+    return rows, ncols
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(integer_block_systems(), st.integers(0, 2**32))
+def test_rational_block_nullspace_matches_sympy(system, seed):
+    sympy = pytest.importorskip("sympy")
+    rows, ncols = system
+    expected = _sympy_nullspace(sympy, rows, ncols)
+    big = max(abs(v) for row in rows for v in row) >= 2**63
+    inputs = [rows, np.array(rows, dtype=object), _as_rational_triples(random.Random(seed), rows, ncols)]
+    if not big:
+        inputs.append(np.array(rows, dtype=np.int64))
+    # a threshold of 0 splits every system into blocks; the default keeps
+    # these small ones whole
+    for threshold in (0, _NP_THRESHOLD):
+        with mock.patch.object(linalg, "_NP_THRESHOLD", threshold):
+            for m in inputs:
+                basis = _nullspace_mod_staged(m, None)
+                assert basis.dtype == object
+                assert basis.tolist() == expected
+                assert all(type(x) is Fraction for row in basis.tolist() for x in row)
+
+
+@st.composite
+def rational_rows(draw):
+    """(rows, ncols): random rational rows of a low-rank system, each row
+    with its own denominators, and a zero row now and then."""
+    ncols = draw(st.integers(1, 6))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    base = [[Fraction(rng.randrange(-9, 10), rng.randrange(1, 8)) for _ in range(ncols)]
+            for _ in range(draw(st.integers(1, ncols)))]
+    rows = [[sum((Fraction(rng.randrange(-3, 4), rng.randrange(1, 5)) * b[j] for b in base), Fraction(0))
+             for j in range(ncols)]
+            for _ in range(draw(st.integers(1, 7)))]
+    if draw(st.booleans()):
+        rows.append([Fraction(0)] * ncols)
+    return rows, ncols
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(rational_rows())
+def test_nullspace_raw_crt_branch_matches_sympy(system):
+    sympy = pytest.importorskip("sympy")
+    rows, ncols = system
+    expected = _sympy_nullspace(sympy, rows, ncols)
+    calls = []
+    real = linalg._nullspace_mod_staged
+
+    def spy(m, p, chunk=3000):
+        calls.append(p)
+        return real(m, p, chunk)
+
+    with mock.patch.object(linalg, "_CRT_THRESHOLD", 0), mock.patch.object(linalg, "_nullspace_mod_staged", spy):
+        assert nullspace_raw(RATIONALS, rows, ncols) == expected
+    # the branch ran: one rational staged call, then one per CRT prime tried
+    assert calls[0] is None
 
 
 def test_crt_nullspace_falls_back_to_exact_elimination(monkeypatch):
@@ -396,7 +575,7 @@ def test_crt_nullspace_falls_back_to_exact_elimination(monkeypatch):
 def test_crt_folds_each_prime_once(monkeypatch):
     # the primes cannot certify this system, so every prime is tried
     folds, systems = [], []
-    real_fold, real_crt = linalg._crt_fold, derivations.nullspace_int_crt
+    real_fold, real_crt = linalg._crt_fold, linalg.nullspace_int_crt
 
     def fold(r, m, residues, p):
         folds.append(p)
@@ -407,7 +586,7 @@ def test_crt_folds_each_prime_once(monkeypatch):
         return real_crt(int_rows, ncols)
 
     monkeypatch.setattr(linalg, "_crt_fold", fold)
-    monkeypatch.setattr(derivations, "nullspace_int_crt", crt)
+    monkeypatch.setattr(linalg, "nullspace_int_crt", crt)
     space = derivation_space(diagonal_spin_factor(RATIONALS, [3**200, 1, 1]))
     assert folds == list(linalg._CRT_PRIMES[1:])
     (int_rows, ncols), = systems
@@ -454,7 +633,8 @@ def _corrupt_crt(int_rows, ncols):
      (RATIONALS, "nullspace_int_crt", _corrupt_crt)],
 )
 def test_corrupted_derivation_basis_fails_certification(monkeypatch, field, kernel, corrupted):
-    monkeypatch.setattr(derivations, kernel, corrupted)
+    # over Q the staged nullspace hands each column block to the CRT solver
+    monkeypatch.setattr(linalg if kernel == "nullspace_int_crt" else derivations, kernel, corrupted)
     with pytest.raises(CertificationError, match="Leibniz"):
         derivation_space(diagonal_spin_factor(field, [1, 1, 1]))
 

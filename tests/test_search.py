@@ -193,6 +193,17 @@ def test_point_budget_counts_the_whole_search(split_null_8):
         div_search(split_null_8, point_cap=1000)
 
 
+def test_div_search_refuses_a_class_it_leaves_undecided():
+    """Images of M_2(GF(3)) with more than 3 points pass the lean test
+    unseen, and the full report has no rung for a matrix algebra, so a
+    cap of 3 leaves them "unknown": the search says so instead of
+    dropping their hits."""
+    table = SEARCH_TABLES["m2-gf3"]
+    assert len(div_search(table)) == 6
+    with pytest.raises(CapExceeded, match="undecided at the point cap 3"):
+        div_search(table, point_cap=3)
+
+
 def _run_cli(*argv):
     return subprocess.run(
         [sys.executable, "-m", "jordanalg.cli", *argv], capture_output=True, text=True
