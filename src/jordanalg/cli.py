@@ -67,6 +67,8 @@ def _load_text(path: str) -> str:
             return handle.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
 
 
 def _load_table(path: str) -> AlgebraTable:
@@ -100,8 +102,11 @@ def _emit(args, *, command, inputs, verdict, witness=None, method=None,
           lines=(), artifact=None, extra=None):
     """Print one report; write the artifact text to -o when given."""
     if artifact is not None and args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(artifact)
+        try:
+            with open(args.output, "w", encoding="utf-8") as handle:
+                handle.write(artifact)
+        except OSError as exc:
+            raise BadParameters(f"cannot write {args.output}: {exc.strerror or exc}") from exc
     if getattr(args, "json", False):
         payload = {
             "command": command,

@@ -622,22 +622,17 @@ class ReductionResult:
     projection: Matrix
 
 
-def simplicity_scan(
-    table: AlgebraTable,
-    *,
-    point_cap: int = 10**6,
-    rng: random.Random | None = None,
-    samples: int = 20,
-) -> str:
+def simplicity_scan(table: AlgebraTable, *, point_cap: int = 10**6) -> str:
     """'simple', 'probably_simple' or 'not_simple' by principal-ideal
     closures: over GF(p) every projective point is tried (exact under
-    the cap), over the rationals the basis plus seeded random vectors.
+    the cap), over the rationals the basis plus 20 random vectors drawn
+    from seed 0.
     """
     f = table.field
     n = table.dim
     if f.is_rational:
-        rng = rng or random.Random(0)
-        drawn = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(samples)]
+        rng = random.Random(0)
+        drawn = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(20)]
         points = _identity_raw(f, n) + [vec for vec in drawn if any(vec)]
         verdict = "probably_simple"
     elif (f.p**n - 1) // (f.p - 1) > point_cap:
@@ -788,25 +783,18 @@ def div_search(
     return hits
 
 
-def sample_derivation(
-    space: DerivationSpace,
-    rng: random.Random,
-    *,
-    nonzero: bool = True,
-) -> LinearMap:
+def sample_derivation(space: DerivationSpace, rng: random.Random) -> LinearMap:
     """A random combination of the basis: uniform residues over GF(p),
     integers in [-3, 3] over the rationals; resampled until nonzero."""
     if space.dim == 0:
-        if nonzero:
-            raise BadParameters("no nonzero derivations exist")
-        return LinearMap.zero(space.algebra)
+        raise BadParameters("no nonzero derivations exist")
     f = space.algebra.field
     while True:
         if f.is_rational:
             coeffs = [rng.randint(-3, 3) for _ in range(space.dim)]
         else:
             coeffs = [rng.randrange(f.p) for _ in range(space.dim)]
-        if any(coeffs) or not nonzero:
+        if any(coeffs):
             return space.combination(coeffs)
 
 

@@ -24,14 +24,15 @@ Tall nullspaces over both fields run through `_nullspace_mod_staged`
 array or rows; one of more than `_NP_THRESHOLD` cells is split into its
 independent column blocks (over Q from exact sums, never residues), a
 smaller one is a single dense block.  Over GF(p) each block is
-eliminated on the kernel for its size, the numpy one in chunks of rows.
-Over Q each block goes to `nullspace_int_crt`: it is solved modulo
-several primes and lifted by rational reconstruction; the lifted basis
-is verified against the block with exact integer arithmetic, and when
-it cannot be certified the block is solved on the exact Python kernel,
-so the fast path cannot silently produce a wrong answer.  The Leibniz
-system comes as triples, so its dense form, which
-`derivations.LEIBNIZ_BYTE_CAP` bounds, is never allocated.
+eliminated on the kernel for its size, the numpy one in chunks of rows
+(`_block_nullspace`).  Over Q each block goes to `nullspace_int_crt`: it
+is solved modulo several primes on that same GF(p) block solver and
+lifted by rational reconstruction; one exact integer product with the
+block certifies the lifted basis, and when it cannot be certified the
+block is solved on the exact Python kernel, so the fast path cannot
+silently produce a wrong answer.  The Leibniz system comes as triples,
+so its dense form, which `derivations.LEIBNIZ_BYTE_CAP` bounds, is never
+allocated.
 
 Pivoting is deterministic everywhere: leftmost pivot column first, and
 within a column the first row with a nonzero entry.
@@ -62,7 +63,7 @@ _NP_THRESHOLD = 4096
 # Work estimate above which rational nullspaces go through the modular path.
 _CRT_THRESHOLD = 4_000_000
 # Moduli for the rational reconstruction pass; 20-bit primes keep every
-# intermediate of the staged elimination far inside int64 range.
+# intermediate of the block elimination far inside int64 range.
 _CRT_PRIME_COUNT = 24
 
 
@@ -472,7 +473,7 @@ def _nullspace_mod_staged(m, p: int | None, chunk: int = 3000) -> np.ndarray:
     return np.concatenate(parts)[order]
 
 
-def _block_nullspace(m: np.ndarray, p: int | None, chunk: int) -> tuple[np.ndarray, list[int]]:
+def _block_nullspace(m: np.ndarray, p: int | None, chunk: int = 3000) -> tuple[np.ndarray, list[int]]:
     """Canonical nullspace basis of an integer array over GF(p), or over
     Q when p is None, and the pivot column of each basis row.
 
@@ -544,73 +545,61 @@ def nullspace_int_crt(int_rows, ncols: int) -> list[list[Fraction]]:
 
     ``int_rows`` may be a list of integer rows or an integer numpy array.
 
-    Solves modulo independent 20-bit primes, reconstructs rational
-    entries by CRT plus rational reconstruction, and certifies the
-    candidate exactly: every reconstructed vector is checked against the
-    integer matrix, and the count is matched against the best modular
-    rank bound (rank over Q is at least the rank mod any prime, which
-    caps the nullity from above).  When no reconstruction certifies (the
-    entries are too large for the primes), the nullspace is computed by
-    exact elimination over Q instead.
+    Each 20-bit prime solves the matrix once on the GF(p) block solver
+    (`_block_nullspace`); bases of one pivot signature are combined by
+    CRT and lifted by rational reconstruction.  The candidate is
+    certified exactly: one integer product with the matrix shows that
+    every vector is a null vector, and the count is matched against the
+    best modular rank bound (rank over Q is at least the rank mod any
+    prime, which caps the nullity from above).  When no reconstruction
+    certifies (the entries are too large for the primes), the nullspace
+    is computed by exact elimination over Q instead.
     """
     # a list may hold ints past int64, which np.asarray would turn to floats
     if not isinstance(int_rows, np.ndarray):
         int_rows = np.array(int_rows, dtype=object).reshape(-1, ncols)
-    sparse = []
-    for row in int_rows:
-        nz = np.nonzero(row)[0]
-        if nz.size:
-            sparse.append([(int(j), int(row[j])) for j in nz])
-
     # one running (residues, modulus) pair per pivot signature, each new
     # prime folded in once
     combined: dict[tuple, tuple[np.ndarray, int]] = {}
     for p in _CRT_PRIMES:
-        basis = _nullspace_mod_staged(int_rows, p)
-        # pivot signature of the canonical nullspace basis
-        pivcols = tuple(int(np.nonzero(row)[0][0]) for row in basis)
-        key = (basis.shape[0], pivcols)
+        basis, piv = _block_nullspace(_residues(int_rows, p), p)
+        key = (len(piv), tuple(piv))
         if key in combined:
             combined[key] = _crt_fold(*combined[key], basis, p)
         else:
             combined[key] = (basis.astype(object), p)
-        candidate = _try_reconstruct(combined, sparse, ncols)
+        candidate = _try_reconstruct(combined, int_rows)
         if candidate is not None:
             return candidate
     frac_rows = [[Fraction(v) for v in row] for row in int_rows.tolist()]
     return _nullspace_exact(RATIONALS, frac_rows, ncols)
 
 
-def _try_reconstruct(combined, sparse, ncols):
+def _try_reconstruct(combined, int_rows: np.ndarray):
     # prefer the signature with the smallest nullity (largest rank bound),
     # breaking ties toward the lexicographically smallest pivot tuple
     key = min(combined)
-    nullity = key[0]
-    if nullity == 0:
+    if key[0] == 0:
         return []
     r, m = combined[key]
     rows = []
-    for i in range(r.shape[0]):
+    for residues in r.tolist():
         row = []
-        for j in range(ncols):
-            q = _rat_reconstruct(int(r[i, j]), m)
+        for x in residues:
+            q = _rat_reconstruct(x, m)
             if q is None:
                 return None
             row.append(q)
         rows.append(row)
     # exact certification: each candidate is a null vector of the matrix
-    for row in rows:
-        den = math.lcm(*(x.denominator for x in row))
-        w = [int(x * den) for x in row]
-        for srow in sparse:
-            if sum(c * w[j] for j, c in srow):
-                return None
-    # nullity certificate: the modular rank bounds nullity from above and
-    # the certified vectors bound it from below
-    rref_rows, rank, _ = _rref_mod_py(rows, None)
-    if rank != nullity:
+    if _exact_matmul(int_rows, _int_image(RATIONALS, rows)[0].T).any():
         return None
-    return [row for row in rref_rows if any(row)]
+    # residues 1 and 0 reconstruct to 1 and 0, so the rows carry the
+    # identity at the signature's pivot columns: they are independent and
+    # already in reduced echelon form.  Their count, the least modular
+    # nullity, bounds the nullity over Q from above, so they are its
+    # canonical basis and need no elimination over Q.
+    return rows
 
 
 # ---------------------------------------------------------------------------

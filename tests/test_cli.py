@@ -282,6 +282,29 @@ def test_missing_file_exits_2():
     assert result.returncode == 2
 
 
+def _refused(result, verb):
+    assert result.returncode == 2
+    assert result.stderr.startswith(f"error: cannot {verb} ")
+    assert "Traceback" not in result.stderr
+    assert result.stdout == ""
+
+
+@pytest.mark.parametrize("target", ["missing/out", "."])
+def test_unwritable_output_exits_2(workdir, tmp_path, target):
+    # -o into a directory that does not exist, or at a directory
+    output = str(tmp_path / target)
+    _refused(run_cli("build", "spin", "--field", "GF:3", "--diag", "1,1", "-o", output), "write")
+    _refused(run_cli("derivations", str(workdir / "spin3.alg"), "--sample", "--seed", "1",
+                     "-o", output), "write")
+
+
+def test_non_utf8_input_exits_2(workdir, tmp_path):
+    bad = tmp_path / "latin1.alg"
+    bad.write_bytes((workdir / "spin3.alg").read_bytes() + "# é\n".encode("latin-1"))
+    _refused(run_cli("check", str(bad)), "read")
+    _refused(run_cli("divcheck", str(workdir / "spin3.alg"), str(bad)), "read")
+
+
 def test_math_precondition_exits_3_with_error_name(workdir):
     result = run_cli("peirce", str(workdir / "spin3.alg"), "0,1,1")
     assert result.returncode == 3

@@ -7,8 +7,8 @@ kernels with each other and with sympy, pin the derivation maps the
 numpy kernel produces, and check the exact fallbacks and self-checks
 around them.  Property tests (hypothesis) compare the block-by-block
 GF(p) nullspace with exact elimination on block-diagonal systems given
-as arrays, rows and entry triples, and the block-by-block rational
-nullspace with sympy.
+as arrays, rows and entry triples, and the block-by-block nullspace
+with sympy over Q and over GF(p).
 """
 
 import hashlib
@@ -518,6 +518,65 @@ def test_rational_block_nullspace_matches_sympy(system, seed):
                 assert basis.dtype == object
                 assert basis.tolist() == expected
                 assert all(type(x) is Fraction for row in basis.tolist() for x in row)
+
+
+SYMPY_PRIMES = (7, 2**31 - 1, 2**61 - 1)
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(integer_block_systems(), st.sampled_from(SYMPY_PRIMES), st.integers(0, 2**32))
+def test_staged_nullspace_matches_sympy_over_gf_p(system, p, seed):
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    rows, ncols = system
+    null = DomainMatrix.from_list(rows, sympy.GF(p)).nullspace()
+    expected = [[int(x) % p for x in row] for row in null.rref()[0].to_list()] if null.shape[0] else []
+    big = max(abs(v) for row in rows for v in row) >= 2**63
+    inputs = [rows, np.array(rows, dtype=object), _as_rational_triples(random.Random(seed), rows, ncols)]
+    if not big:
+        inputs.append(np.array(rows, dtype=np.int64))
+    for threshold in (0, _NP_THRESHOLD):
+        with mock.patch.object(linalg, "_NP_THRESHOLD", threshold):
+            for m in inputs:
+                assert _nullspace_mod_staged(m, p).tolist() == expected
+
+
+def test_crt_solves_each_prime_once_on_the_block_solver(monkeypatch):
+    solved, tried = [], []
+    real_block, real_try = linalg._block_nullspace, linalg._try_reconstruct
+
+    def block(m, p, *args):
+        solved.append(p)
+        return real_block(m, p, *args)
+
+    def try_reconstruct(combined, int_rows):
+        tried.append(len(combined))
+        return real_try(combined, int_rows)
+
+    def staged(*args):
+        raise AssertionError("the CRT solver split its block again")
+
+    monkeypatch.setattr(linalg, "_block_nullspace", block)
+    monkeypatch.setattr(linalg, "_try_reconstruct", try_reconstruct)
+    monkeypatch.setattr(linalg, "_nullspace_mod_staged", staged)
+    # 1/3^30 needs several primes; 3^200 is past all of them
+    for rows, primes in (([[1, -3**30, 0]], range(2, len(_CRT_PRIMES))),
+                         ([[3**200, 1, 0], [-2 * 3**200, -2, 0]], [len(_CRT_PRIMES)])):
+        solved.clear()
+        tried.clear()
+        nullspace_int_crt(rows, 3)
+        assert len(tried) in primes
+        assert solved == list(_CRT_PRIMES[: len(tried)])
+
+
+def test_crt_certificate_refuses_a_wrong_reconstruction():
+    # the first prime alone reconstructs 1/N as a small wrong fraction,
+    # which only the exact product with the matrix refuses
+    big = 3**30
+    p = _CRT_PRIMES[0]
+    assert linalg._rat_reconstruct(pow(big, -1, p), p) not in (None, Fraction(1, big))
+    assert nullspace_int_crt([[1, -big, 0]], 3) == [[1, Fraction(1, big), 0], [0, 0, 1]]
 
 
 @st.composite
