@@ -79,16 +79,25 @@ class AlgebraTable:
         unit: Sequence | None = None,
         meta: object = None,
     ):
+        raw_unit = None if unit is None else map(field.coerce, unit)
+        self._set(field, dim, {key: field.coerce(v) for key, v in entries.items()}, labels, raw_unit, meta)
+
+    @classmethod
+    def _wrap(cls, field: Field, dim: int, entries, labels=None, unit=None, meta=None) -> "AlgebraTable":
+        """A table whose entries and unit already hold raw values of the field."""
+        table = cls.__new__(cls)
+        table._set(field, dim, entries, labels, unit, meta)
+        return table
+
+    def _set(self, field: Field, dim: int, entries, labels, unit, meta):
         if dim <= 0:
             raise BadParameters("dimension must be positive")
         self.field = field
         self.dim = dim
-        coerce = field.coerce
         rows: dict[tuple[int, int], list[tuple[int, RawScalar]]] = {}
-        for (i, j, k), value in entries.items():
+        for (i, j, k), v in entries.items():
             if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
                 raise BadParameters(f"structure index ({i},{j},{k}) out of range")
-            v = coerce(value)
             if v:
                 rows.setdefault((i, j), []).append((k, v))
         # a Mapping holds one value per (i, j, k), so no k repeats in a row
@@ -103,7 +112,7 @@ class AlgebraTable:
         self.meta = meta
         self._cache: dict = {}
         if unit is not None:
-            unit = tuple(field.coerce(x) for x in unit)
+            unit = tuple(unit)
             if len(unit) != dim:
                 raise BadParameters("unit length differs from dimension")
             if not self._acts_as_unit(unit):

@@ -120,8 +120,26 @@ def hermitian_subalgebra(table: AlgebraTable, sigma: LinearMap) -> tuple[Algebra
     if not involution_check(table, sigma):
         raise NotAnInvolution("map is not an involution of the table")
     fixed, entries, unit = _fixed_structure(table, sigma)
-    sub = AlgebraTable(table.field, fixed.dim, entries, unit=unit)
-    return sub, Matrix._wrap(table.field, zip(*fixed.basis))
+    return AlgebraTable._wrap(table.field, fixed.dim, entries, unit=unit), Matrix._wrap(table.field, zip(*fixed.basis))
+
+
+def _monomial_fixed_space(sigma: Matrix) -> Subspace | None:
+    """The fixed space of a sigma with sigma^2 = id that sends each b_i to
+    some c b_j, read off sigma in reduced echelon form: b_i + c b_j when
+    i < j, b_i when c b_j = b_i.  The -1 vectors (b_i - c b_j, and b_i when
+    c b_j = -b_i) must make up the rest of n, which certifies the basis
+    complete; None when sigma is not monomial or they do not."""
+    f, n = sigma.field, sigma.ncols
+    cols = [[(j, c) for j, c in enumerate(col) if c] for col in zip(*sigma.rows)]
+    if any(len(col) != 1 for col in cols):
+        return None
+    basis, negated = [], 0
+    for i, [(j, c)] in enumerate(cols):
+        if i < j or i == j and c == 1:
+            basis.append([f.zero()] * n)
+            basis[-1][j], basis[-1][i] = c, f.one()
+        negated += i < j or i == j and c == f.neg(f.one())
+    return Subspace._wrap(f, n, basis, canonical=True) if len(basis) + negated == n else None
 
 
 def _fixed_structure(table: AlgebraTable, sigma: LinearMap, scale=None) -> tuple[Subspace, dict, tuple | None]:
@@ -137,7 +155,7 @@ def _fixed_structure(table: AlgebraTable, sigma: LinearMap, scale=None) -> tuple
     mod p per key) raises NotClosed.
     """
     f = table.field
-    fixed = (sigma.matrix - Matrix.identity(f, table.dim)).nullspace()
+    fixed = _monomial_fixed_space(sigma.matrix) or (sigma.matrix - Matrix.identity(f, table.dim)).nullspace()
     if fixed.dim == 0:
         raise NotClosed("fixed space of the involution is zero")
     basis = [[(r, v) for r, v in enumerate(vec) if v] for vec in fixed.basis]
@@ -235,11 +253,9 @@ def _double(table: AlgebraTable, conj: Matrix, mu: RawScalar) -> tuple[AlgebraTa
                     entries[(i + d, j + d, k)] = f.mul(mu, right[k][j])
     labels = tuple(f"e{t}" for t in range(2 * d))
     unit = [f.one()] + [zero] * (2 * d - 1)
-    doubled = AlgebraTable(f, 2 * d, entries, labels=labels, unit=unit)
-    conj_rows = [[zero] * (2 * d) for _ in range(2 * d)]
-    for i in range(d):
-        for k in range(d):
-            conj_rows[k][i] = conj.rows[k][i]
+    doubled = AlgebraTable._wrap(f, 2 * d, entries, labels=labels, unit=unit)
+    # conj on the first half, -1 on the second
+    conj_rows = [list(row) + [zero] * d for row in conj.rows] + [[zero] * (2 * d) for _ in range(d)]
     for i in range(d):
         conj_rows[i + d][i + d] = f.neg(f.one())
     return doubled, Matrix._wrap(f, conj_rows)
@@ -312,16 +328,13 @@ def matrix_algebra(coeff: AlgebraTable, n: int) -> AlgebraTable:
     f = coeff.field
     d = coeff.dim
     dim = n * n * d
-
-    def index(i: int, j: int, a: int) -> int:
-        return (i * n + j) * d + a
-
+    # a E_ij is basis vector (i n + j) d + a
     entries = {}
     for a, b, k, v in coeff.sc_items():
         for i in range(n):
             for j in range(n):
                 for l in range(n):
-                    entries[(index(i, j, a), index(j, l, b), index(i, l, k))] = v
+                    entries[(i * n + j) * d + a, (j * n + l) * d + b, (i * n + l) * d + k] = v
     # from n = 10 on, e1 11 and e11 1 would both read e111
     sep = "." if n >= 10 else ""
     if coeff.dim == 1:
@@ -337,8 +350,8 @@ def matrix_algebra(coeff: AlgebraTable, n: int) -> AlgebraTable:
     unit = [f.zero()] * dim
     for i in range(n):
         for a, v in enumerate(unit_coeff):
-            unit[index(i, i, a)] = v
-    return AlgebraTable(f, dim, entries, labels=labels, unit=unit)
+            unit[(i * n + i) * d + a] = v
+    return AlgebraTable._wrap(f, dim, entries, labels=labels, unit=unit)
 
 
 def gamma_involution(c3: AlgebraTable, gammas: Sequence, conj: Matrix) -> LinearMap:
@@ -409,10 +422,7 @@ def albert_type(field: Field, mus: Sequence, gammas: Sequence) -> AlgebraTable:
         i, j = divmod(ij, 3)
         key = (min(i, j) + 1, max(i, j) + 1)
         blocks.setdefault(key, []).append(m)
-        if i == j:
-            labels.append(f"e{i + 1}{i + 1}")
-        else:
-            labels.append(f"u{key[0]}{key[1]}_{a}")
+        labels.append(f"e{i + 1}{i + 1}" if i == j else f"u{key[0]}{key[1]}_{a}")
 
     identity = _identity_raw(field, 27)
     peirce = {}
@@ -435,4 +445,4 @@ def albert_type(field: Field, mus: Sequence, gammas: Sequence) -> AlgebraTable:
         idempotents=tuple(idempotents),
         peirce=peirce,
     )
-    return AlgebraTable(field, 27, entries, labels=tuple(labels), unit=unit, meta=meta)
+    return AlgebraTable._wrap(field, 27, entries, labels=tuple(labels), unit=unit, meta=meta)

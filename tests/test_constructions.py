@@ -835,3 +835,119 @@ def test_involution_check_rejects_dense_order_three_automorphism(field):
     assert sigma(x * y) == sigma(y) * sigma(x)
     assert involution_check(moved, sigma) is False
     assert _involution_by_pairs(moved, sigma) is False
+
+
+# ---------------------------------------------------------------------------
+# the fixed space of a monomial involution, read off sigma, and tables
+# built from raw values without coercing them again
+
+
+def _nullspace_fixed_space(sigma):
+    return (sigma - Matrix.identity(sigma.field, sigma.nrows)).nullspace()
+
+
+@pytest.mark.parametrize("field, mus, gammas", C3_CASES, ids=C3_IDS)
+def test_monomial_fixed_space_matches_nullspace_on_c3(field, mus, gammas):
+    _, sigma = _c3_and_gamma(field, mus, gammas)
+    fixed = constructions._monomial_fixed_space(sigma.matrix)
+    reference = _nullspace_fixed_space(sigma.matrix)
+    assert fixed is not None and fixed.dim == 27
+    assert fixed.basis == reference.basis and fixed.pivots == reference.pivots
+    # the same raw types, so written files and metadata cannot differ
+    assert repr(fixed.basis) == repr(reference.basis)
+
+
+@pytest.mark.parametrize("field", [F5, F7, RATIONALS, P61], ids=["GF5", "GF7", "Q", "GF(2^61-1)"])
+def test_monomial_fixed_space_matches_nullspace_on_transpose_of_m3(field):
+    m3 = full_matrix_table(field, 3)
+    sigma = transpose_map(m3, 3)
+    assert involution_check(m3, sigma)
+    fixed = constructions._monomial_fixed_space(sigma.matrix)
+    reference = _nullspace_fixed_space(sigma.matrix)
+    assert fixed.dim == 6
+    assert fixed.basis == reference.basis and fixed.pivots == reference.pivots
+    # and on the signed transpose E_ij -> -E_ji, whose fixed space is the
+    # skew matrices: pairs b_i - b_j and no fixed diagonal
+    negated = sigma.matrix.scale(-1)
+    fixed = constructions._monomial_fixed_space(negated)
+    assert fixed.dim == 3 and fixed == _nullspace_fixed_space(negated)
+
+
+def test_monomial_fixed_space_declines_maps_it_cannot_certify():
+    dense = _transported_cases(F5, 1)[0][1].matrix
+    assert constructions._monomial_fixed_space(dense) is None
+    # monomial, but 2 b_0 is neither fixed nor negated: the counts miss n
+    scaled = Matrix(F5, [[2, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    assert constructions._monomial_fixed_space(scaled) is None
+    # a 3-cycle is monomial, but its pairs do not close up
+    cycle = Matrix(F5, [[0, 0, 1], [1, 0, 0], [0, 1, 0]])
+    assert constructions._monomial_fixed_space(cycle) is None
+
+
+def _count_nullspace_calls(monkeypatch):
+    calls = []
+    real = Matrix.nullspace
+
+    def spy(self):
+        calls.append((self.nrows, self.ncols))
+        return real(self)
+
+    monkeypatch.setattr(Matrix, "nullspace", spy)
+    return calls
+
+
+@pytest.mark.parametrize("field", [F7, RATIONALS], ids=["GF7", "Q"])
+def test_albert_type_reads_the_fixed_space_off_sigma(monkeypatch, field):
+    calls = _count_nullspace_calls(monkeypatch)
+    albert_type(field, [1, 2, 3], [1, 2, 4])
+    assert calls == []
+
+
+@pytest.mark.parametrize("field", TRANSPORT_FIELDS, ids=TRANSPORT_IDS)
+def test_hermitian_on_a_dense_map_takes_the_nullspace(monkeypatch, field):
+    table, sigma = _transported_cases(field, 1)[0]
+    sym = plus_algebra(table)
+    calls = _count_nullspace_calls(monkeypatch)
+    sub, _ = hermitian_subalgebra(sym, LinearMap(sym, sigma.matrix))
+    assert calls == [(4, 4)] and sub.dim == 3
+    # the transpose of M_2 itself is monomial and takes no nullspace
+    sym = plus_algebra(full_matrix_table(field, 2))
+    transpose = transpose_map(sym, 2)
+    sub, embedding = hermitian_subalgebra(sym, transpose)
+    assert calls == [(4, 4)] and sub.dim == 3
+    assert embedding == Matrix._wrap(field, zip(*_nullspace_fixed_space(transpose.matrix).basis))
+
+
+def _c3_table_parts(field):
+    coeff, _ = cayley_dickson(field, [1, 2, 3])
+    c3 = matrix_algebra(coeff, 3)
+    entries = {(i, j, k): v for i, j, k, v in c3.sc_items()}
+    return c3, entries
+
+
+@pytest.mark.parametrize("field", [F7, RATIONALS, P61], ids=["GF7", "Q", "GF(2^61-1)"])
+def test_raw_table_equals_the_coerced_table(field):
+    c3, entries = _c3_table_parts(field)
+    meta = object()
+    raw = AlgebraTable._wrap(field, 72, entries, labels=c3.labels, unit=list(c3.unit), meta=meta)
+    coerced = AlgebraTable(field, 72, entries, labels=c3.labels, unit=c3.unit, meta=meta)
+    assert raw == coerced == c3
+    assert raw._rows == coerced._rows and raw.unit == coerced.unit
+    assert raw.labels == coerced.labels and raw.meta is coerced.meta
+    assert isinstance(raw.unit, tuple)
+    # and without labels or unit
+    bare = AlgebraTable._wrap(field, 72, entries)
+    assert bare == AlgebraTable(field, 72, entries) and bare.unit is None and bare.labels is None
+
+
+@pytest.mark.parametrize("field", [F7, RATIONALS], ids=["GF7", "Q"])
+def test_raw_table_rejects_a_wrong_unit(field):
+    c3, entries = _c3_table_parts(field)
+    wrong = list(c3.unit)
+    wrong[32] = field.zero()  # drop E_22 from the identity matrix
+    with pytest.raises(NotUnital):
+        AlgebraTable._wrap(field, 72, entries, unit=wrong)
+    with pytest.raises(NotUnital):
+        AlgebraTable._wrap(field, 72, entries, unit=[field.zero()] * 72)
+    with pytest.raises(BadParameters):
+        AlgebraTable._wrap(field, 72, entries, unit=c3.unit[:-1])

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jordanalg import cli
 from jordanalg.algebra import AlgebraTable, LinearMap, SplitNullMeta, split_null_extension
@@ -529,3 +531,101 @@ def test_mutated_q_spin_file_exits_cleanly(tmp_path, capsys, name, meta):
         commands={"check", "reduce", "invert"},
     )
     assert set(codes) == {2} if meta else {0, 3} <= set(codes)
+
+
+# ---------------------------------------------------------------------------
+# round trips of tables and maps, on random sparse tables and one file of
+# every construction the meta line can replay
+
+P61 = prime_field(2**61 - 1)
+ROUNDTRIP_FIELDS = [F7, P61, RATIONALS]
+ROUNDTRIP_IDS = ["GF7", "GF(2^61-1)", "Q"]
+checked = settings(max_examples=40, deadline=None, database=None, derandomize=True)
+
+
+def _scalars(field):
+    if field.is_rational:
+        big = st.sampled_from([2**70 + 1, -(2**64) - 3, 3**45])
+        return st.builds(Fraction, st.integers(-9, 9) | big, st.integers(1, 9) | big.map(abs))
+    return st.integers(0, field.p - 1) | st.sampled_from([field.p - 1, field.p - 2, 2**40 % field.p])
+
+
+@st.composite
+def sparse_tables(draw, field):
+    """A table with a few random products; when drawn unital, e_0 is its
+    unit and the random products avoid it."""
+    n = draw(st.integers(1, 5))
+    unital = draw(st.booleans())
+    entries = {}
+    if unital:
+        entries = {key: 1 for j in range(n) for key in ((0, j, j), (j, 0, j))}
+    low = int(unital and n > 1)
+    index = st.integers(low, n - 1)
+    # e_0 e_0 = e_0 is the whole of a unital table of dimension 1
+    for _ in range(0 if unital and n == 1 else draw(st.integers(0, 2 * n))):
+        i, j, k = draw(index), draw(index), draw(st.integers(0, n - 1))
+        entries[i, j, k] = draw(_scalars(field))
+    labels = None
+    if draw(st.booleans()):
+        labels = tuple(f"{draw(st.sampled_from(['x', 'e', 'u_']))}{t}" for t in range(n))
+    unit = [1] + [0] * (n - 1) if unital else None
+    return AlgebraTable(field, n, entries, labels=labels, unit=unit)
+
+
+@st.composite
+def tables_and_maps(draw, field):
+    table = draw(sparse_tables(field))
+    f, n = table.field, table.dim
+    cells = st.one_of(st.just(0), _scalars(f))
+    return table, Matrix(f, [[draw(cells) for _ in range(n)] for _ in range(n)])
+
+
+def _assert_roundtrip(table):
+    text = write_algebra(table)
+    back = read_algebra(text)
+    assert back == table
+    assert back.labels == table.labels and back.unit == table.unit
+    assert write_algebra(back) == text
+    return back
+
+
+@pytest.mark.parametrize("field", ROUNDTRIP_FIELDS, ids=ROUNDTRIP_IDS)
+@checked
+@given(data=st.data())
+def test_sparse_table_roundtrip(field, data):
+    _assert_roundtrip(data.draw(sparse_tables(field)))
+
+
+@pytest.mark.parametrize("field", ROUNDTRIP_FIELDS, ids=ROUNDTRIP_IDS)
+@checked
+@given(data=st.data())
+def test_sparse_map_roundtrip(field, data):
+    table, matrix = data.draw(tables_and_maps(field))
+    text = write_map(LinearMap(table, matrix))
+    back = read_map(text, table)
+    assert back.matrix == matrix and back.algebra is table
+    assert write_map(back) == text
+
+
+META_TABLES = {
+    "spin": lambda: diagonal_spin_factor(F7, [1, 0, 3]),
+    "cd": lambda: cayley_dickson(P61, [2**61 - 2, 3])[0],
+    "albert": lambda: albert_type(F5, [2, 3, 1], [1, 2, 4]),
+    "splitnull": lambda: split_null_extension(diagonal_spin_factor(RATIONALS, [1, Fraction(-2, 3)]), 2)[0],
+}
+
+
+@pytest.mark.parametrize("kind", list(META_TABLES))
+def test_meta_file_roundtrip_keeps_meta_and_maps(kind):
+    table = META_TABLES[kind]()
+    back = _assert_roundtrip(table)
+    assert f"\nmeta {kind} " in write_algebra(table)
+    assert type(back.meta) is type(table.meta)
+    rng = random.Random(f"roundtrip-{kind}")
+    f, n = table.field, table.dim
+    scalars = [0, 0, 1, -1, 2, Fraction(1, 3) if f.is_rational else f.p - 1]
+    matrix = Matrix(f, [[rng.choice(scalars) for _ in range(n)] for _ in range(n)])
+    for m in (matrix, Matrix.identity(f, n)):
+        text = write_map(LinearMap(table, m))
+        assert read_map(text, back).matrix == m
+        assert write_map(read_map(text, back)) == text
