@@ -34,6 +34,7 @@ from .algebra import (
     ideal_closure,
     invert_element,
     is_ideal,
+    principal_closures,
     quotient_algebra,
 )
 from .constructions import AlbertMeta, SpinMeta
@@ -624,9 +625,9 @@ class ReductionResult:
 
 def simplicity_scan(table: AlgebraTable, *, point_cap: int = 10**6) -> str:
     """'simple', 'probably_simple' or 'not_simple' by principal-ideal
-    closures: over GF(p) every projective point is tried (exact under
-    the cap), over the rationals the basis plus 20 random vectors drawn
-    from seed 0.
+    closures, each proper one certified to be an ideal: over GF(p) every
+    projective point is tried (exact under the cap, `principal_closures`),
+    over the rationals the basis plus 20 random vectors from seed 0.
     """
     f = table.field
     n = table.dim
@@ -634,14 +635,16 @@ def simplicity_scan(table: AlgebraTable, *, point_cap: int = 10**6) -> str:
         rng = random.Random(0)
         drawn = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(20)]
         points = _identity_raw(f, n) + [vec for vec in drawn if any(vec)]
+        closures = (ideal_closure(table, Subspace(f, n, [point])) for point in points)
         verdict = "probably_simple"
     elif (f.p**n - 1) // (f.p - 1) > point_cap:
         return "probably_simple"
     else:
-        points = _projective_points(f, Subspace.full(f, n))
+        closures = principal_closures(table, _projective_points(f, Subspace.full(f, n)))
         verdict = "simple"
-    for point in points:
-        if ideal_closure(table, Subspace(f, n, [point])).dim != n:
+    for closure in closures:
+        if closure.dim != n:
+            certify(closure.dim > 0 and is_ideal(table, closure), "a proper principal closure must be a nonzero ideal")
             return "not_simple"
     return verdict
 
@@ -879,8 +882,7 @@ def enumerate_ideals(
         raise CapExceeded(f"{count} projective points exceed the cap {point_cap}")
     zero_space = Subspace.zero(f, n)
     found = {zero_space.basis: zero_space}
-    for point in _projective_points(f, Subspace.full(f, n)):
-        closure = ideal_closure(table, Subspace(f, n, [point]))
+    for closure in principal_closures(table, _projective_points(f, Subspace.full(f, n))):
         if closure.basis not in found:
             for ideal in list(found.values()):
                 total = ideal.sum_with(closure)

@@ -34,6 +34,10 @@ silently produce a wrong answer.  The Leibniz system comes as triples,
 so its dense form, which `derivations.LEIBNIZ_BYTE_CAP` bounds, is never
 allocated.
 
+Closures under linear maps are spun: `spin_closure` grows one space
+vector by vector; over GF(p), `_spin_batch` grows those of many vectors
+at once, with one batched row reduction per round (`_rref_batch`).
+
 Pivoting is deterministic everywhere: leftmost pivot column first, and
 within a column the first row with a nonzero entry.
 
@@ -872,6 +876,50 @@ def spin_closure(space: Subspace, images) -> Subspace:
             if len(rows) == n:
                 break
     return Subspace.full(f, n) if len(rows) == n else Subspace._wrap(f, n, rows)
+
+
+def _rref_batch(a, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced row echelon form over GF(p) of each matrix of a stack, as
+    residues, and the rank of each: `_rref_mod_np`'s pivots, one column
+    at a time across the stack."""
+    a = _residues(a, p)
+    rank = np.zeros(len(a), dtype=int)
+    for c in range(a.shape[2]):
+        found = (a[:, :, c] != 0) & (np.arange(a.shape[1]) >= rank[:, None])
+        b = np.flatnonzero(found.any(axis=1))
+        r, i = rank[b], found[b].argmax(axis=1)
+        pivot = a[b, i]
+        a[b, i] = a[b, r]
+        pivot = pivot * np.array([pow(x, -1, p) for x in pivot[:, c].tolist()], dtype=a.dtype)[:, None] % p
+        f = a[b, :, c]
+        f[np.arange(b.size), r] = 0
+        k, j = np.nonzero(f)
+        a[b[k], j] = (a[b[k], j] - f[k, j, None] * pivot[k]) % p
+        a[b, r] = pivot
+        rank[b] += 1
+    return a, rank
+
+
+def _spin_batch(gens: np.ndarray, starts, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """`spin_closure` over GF(p) of the line of each start vector under
+    u -> u @ g for the n x n blocks g of gens = [g_1 | g_2 | ...]: each
+    canonical basis (zero rows below) and dimension.  A round reduces
+    every active basis stacked over its images and drops the closures
+    that filled the space or stopped growing."""
+    starts = _residues(starts, p)
+    batch, n = starts.shape
+    out = np.zeros((batch, n, n), dtype=starts.dtype)
+    out[:, 0] = starts
+    dims, active = starts.any(axis=1).astype(int), np.arange(batch)
+    while active.size:
+        # rows past the largest dimension are zero, and so are their images
+        top = out[active, : max(1, dims[active].max())]
+        images = _exact_matmul(top.reshape(-1, n), gens, p).reshape(active.size, -1, n)
+        red, rank = _rref_batch(np.concatenate([out[active], images], axis=1), p)
+        grew = rank > dims[active]
+        out[active], dims[active] = red[:, :n], rank
+        active = active[grew & (rank < n)]
+    return out, dims
 
 
 def _projective_points(field: Field, space: Subspace, *, trailing_first: bool = False):

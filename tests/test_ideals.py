@@ -11,18 +11,28 @@ cases are seeded derivations of spin factors over GF(3), GF(5) and Q,
 of their split-null extensions, of M_2(GF(3)) and its extension, and
 the upper-triangular T_2(GF(3)), whose kernel holds a one-sided ideal
 but no nonzero two-sided one.
+
+`principal_closures` spins the lines of many points together over
+GF(p); it is compared with one `ideal_closure` per point on every
+projective point of spin factors, their extensions, non-commutative
+tables and drawn tables, in chunks of one point and of the default size.
 """
 
 import random
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from jordanalg import algebra, derivations
 from jordanalg.algebra import (
     AlgebraTable,
     _product_sides,
     direct_sum,
     ideal_closure,
     is_ideal,
+    principal_closures,
     split_null_extension,
 )
 from jordanalg.constructions import diagonal_spin_factor, matrix_algebra
@@ -35,11 +45,13 @@ from jordanalg.derivations import (
     inner_assoc_derivation,
     largest_ideal_in_kernel,
     sample_derivation,
+    simplicity_scan,
 )
+from jordanalg.errors import CertificationError
 from jordanalg.fields import RATIONALS, prime_field
 from jordanalg.linalg import Matrix, Subspace, combine_raw, dot_raw
 
-F3, F5 = prime_field(3), prime_field(5)
+F3, F5, F7 = prime_field(3), prime_field(5), prime_field(7)
 
 
 def _largest_ideal_by_refinement(table, dmap):
@@ -197,3 +209,126 @@ def test_enumerate_ideals_finds_ideals_that_are_no_closure_of_a_point():
     assert [s.dim for s in ideals] == [0, 1, 1, 1, 1, 2, 3]
     assert Subspace(F3, 3, [[0, 1, 0], [0, 0, 1]]) in ideals
     assert enumerate_ideals(AlgebraTable(F3, 2, {}))[-1].dim == 2
+
+
+# ---------------------------------------------------------------------------
+# batched principal closures
+
+
+def _closure_tables():
+    """Spin factors, degenerate forms included, and the split-null
+    extensions of those with dim V at most `extend` (GF(7) stops at
+    4-dim extensions, which have 400 points, not 19,608)."""
+    tables = []
+    for field, extend, diags in ((F3, 2, ([1, 1], [1, 2], [0, 1], [0, 0], [1, 1, 1], [0, 1, 2])),
+                                 (F5, 2, ([1, 2], [0, 3], [0, 0], [1, 2, 3])),
+                                 (F7, 1, ([1, 3], [0, 0], [0, 5], [3], [0]))):
+        for diag in diags:
+            spin = diagonal_spin_factor(field, diag)
+            tables.append(spin)
+            if len(diag) <= extend:
+                tables.append(split_null_extension(spin, 1)[0])
+    return tables + [_t2(F3), matrix_algebra(_scalar(F3), 2), AlgebraTable(F3, 2, {})]
+
+
+def _closures_point_by_point(table, points):
+    f, n = table.field, table.dim
+    return [ideal_closure(table, Subspace(f, n, [point])) for point in points]
+
+
+@pytest.fixture(params=["one_point", "default"])
+def chunking(request, monkeypatch):
+    if request.param == "one_point":
+        monkeypatch.setattr(algebra, "_CLOSURE_CELLS", 1)
+
+
+@pytest.mark.parametrize("index", range(len(_closure_tables())))
+def test_principal_closures_match_ideal_closure(index, chunking):
+    table = _closure_tables()[index]
+    f, n = table.field, table.dim
+    points = list(_projective_points(f, Subspace.full(f, n)))
+    assert list(principal_closures(table, points)) == _closures_point_by_point(table, points)
+
+
+@pytest.mark.parametrize("p", [2**31 - 1, 2**61 - 1])
+def test_principal_closures_at_large_primes(p, chunking):
+    # too many points to enumerate: seeded ones, on int64 and on object arrays
+    field, rng = prime_field(p), random.Random(p)
+    for table in (diagonal_spin_factor(field, [1, p - 1]), split_null_extension(diagonal_spin_factor(field, [0, 3]))[0],
+                  matrix_algebra(AlgebraTable(field, 1, {(0, 0, 0): 1}, unit=[1]), 2)):
+        points = [[rng.randrange(p) for _ in range(table.dim)] for _ in range(12)]
+        points += [[0] * table.dim, [1] + [0] * (table.dim - 1)]
+        assert list(principal_closures(table, points)) == _closures_point_by_point(table, points)
+
+
+@st.composite
+def gf3_tables(draw):
+    """Sparse GF(3) tables of dim 2-4, commutative or not."""
+    n = draw(st.integers(2, 4))
+    cells = st.tuples(*[st.integers(0, n - 1)] * 3)
+    entries = draw(st.dictionaries(cells, st.integers(1, 2), max_size=2 * n))
+    if draw(st.booleans()):
+        entries.update({(j, i, k): v for (i, j, k), v in entries.items()})
+    return AlgebraTable(F3, n, entries)
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(gf3_tables(), st.booleans())
+def test_principal_closures_match_ideal_closure_on_drawn_tables(table, one_point):
+    f, n = table.field, table.dim
+    points = list(_projective_points(f, Subspace.full(f, n)))
+    saved = algebra._CLOSURE_CELLS
+    algebra._CLOSURE_CELLS = 1 if one_point else saved
+    try:
+        assert list(principal_closures(table, points)) == _closures_point_by_point(table, points)
+    finally:
+        algebra._CLOSURE_CELLS = saved
+
+
+def test_enumeration_and_finite_scans_take_the_batched_closures(monkeypatch):
+    calls = []
+    monkeypatch.setattr(derivations, "ideal_closure", lambda *args: calls.append(args))
+    ext = split_null_extension(diagonal_spin_factor(F3, [1, 1]))[0]
+    assert [s.dim for s in enumerate_ideals(ext)] == [0, 3, 6]
+    assert simplicity_scan(diagonal_spin_factor(F3, [1, 1])) == "simple"
+    assert simplicity_scan(ext) == "not_simple"
+    assert calls == []
+
+
+def test_rational_scan_takes_one_ideal_closure_per_point(monkeypatch):
+    calls = []
+    real = derivations.ideal_closure
+    monkeypatch.setattr(derivations, "ideal_closure", lambda *args: calls.append(args) or real(*args))
+    assert simplicity_scan(diagonal_spin_factor(RATIONALS, [1, 1])) == "probably_simple"
+    assert len(calls) == 3 + 20
+
+
+@pytest.mark.parametrize("field", [F3, RATIONALS])
+def test_not_simple_is_certified(field, monkeypatch):
+    table = diagonal_spin_factor(field, [1, 1])
+    line = Subspace(field, 3, [[0, 1, 0]])
+    assert not is_ideal(table, line)
+    monkeypatch.setattr(derivations, "ideal_closure", lambda table, space: line)
+    monkeypatch.setattr(derivations, "principal_closures", lambda table, points: iter([line]))
+    with pytest.raises(CertificationError, match="proper principal closure"):
+        simplicity_scan(table)
+    zero = Subspace.zero(field, 3)
+    monkeypatch.setattr(derivations, "ideal_closure", lambda table, space: zero)
+    monkeypatch.setattr(derivations, "principal_closures", lambda table, points: iter([zero]))
+    with pytest.raises(CertificationError, match="proper principal closure"):
+        simplicity_scan(table)
+
+
+def test_enumerate_ideals_streams_its_points():
+    table = split_null_extension(diagonal_spin_factor(F3, [1, 1, 1]))[0]
+    assert (3**table.dim - 1) // 2 == 3280
+    table.structure_int_tensor()
+    assert _product_sides(table) == ("left",)
+    tracemalloc.start()
+    try:
+        ideals = enumerate_ideals(table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [s.dim for s in ideals] == [0, 4, 8]
+    assert peak < 1 << 20
