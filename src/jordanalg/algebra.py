@@ -639,7 +639,8 @@ _CLOSURE_CELLS = 1 << 14
 def principal_closures(table: AlgebraTable, points):
     """`ideal_closure` of the line of each point of a finite-field table,
     spun together (`linalg._spin_batch`) under v -> v b_j, and b_j v on a
-    non-commutative table, in chunks of at most _CLOSURE_CELLS cells."""
+    non-commutative table, in chunks of at most _CLOSURE_CELLS cells.
+    Equal closures of one chunk are one `Subspace`."""
     f, n = table.field, table.dim
     c, _ = table.structure_int_tensor()
     # column j*n + k of the left block holds coordinate k of b_i b_j in row i;
@@ -649,7 +650,11 @@ def principal_closures(table: AlgebraTable, points):
     points = iter(points)
     while chunk := list(islice(points, step)):
         bases, dims = _spin_batch(gens, chunk, f.p)
-        yield from (Subspace._wrap(f, n, b[:d], canonical=True) for b, d in zip(bases.tolist(), dims.tolist()))
+        wrapped: dict[tuple, Subspace] = {}
+        for flat, d in zip(bases.reshape(len(chunk), -1).tolist(), dims.tolist()):
+            if (key := tuple(flat[: d * n])) not in wrapped:
+                wrapped[key] = Subspace._wrap(f, n, [key[k : k + n] for k in range(0, d * n, n)], canonical=True)
+            yield wrapped[key]
 
 
 def _product_space(table: AlgebraTable, a: Subspace, b: Subspace) -> Subspace:

@@ -26,6 +26,7 @@ from .algebra import (
     Element,
     LinearMap,
     SplitNullMeta,
+    _CLOSURE_CELLS,
     _invert_coords,
     _inversion_kind,
     _dual_products,
@@ -61,6 +62,8 @@ from .linalg import (
     Entries,
     Matrix,
     Subspace,
+    _column_spaces,
+    _first_anisotropic_pair,
     _identity_raw,
     _int_image,
     _is_zero_mod,
@@ -439,8 +442,9 @@ def spin_div_criterion(
     Diagonalizing vectors are tried first; if no diagonal pair works the
     search widens to all vector pairs (exhaustively over a prime field
     when the pair count fits the cap, over bounded integer vectors for
-    the rationals).  Absence of a pair is definitive over a prime field
-    within the cap and inconclusive over the rationals.
+    the rationals), x-major and y-minor, on exact Gram products of
+    _CLOSURE_CELLS cells.  Absence of a pair is definitive over a prime
+    field within the cap and inconclusive over the rationals.
     """
     if not gram.is_symmetric():
         raise NotSymmetric("the form matrix must be symmetric")
@@ -467,20 +471,9 @@ def spin_div_criterion(
         values = range(f.p)
     else:
         return None
-    vectors = [tuple(map(f.coerce, vec)) for vec in itertools.product(values, repeat=nv) if any(vec)]
-    images = [gram.apply(v) for v in vectors]
-    norms = [dot_raw(f, v, gv) for v, gv in zip(vectors, images)]
-    for x, gx, fxx in zip(vectors, images, norms):
-        if not fxx:
-            continue
-        for y, fyy in zip(vectors, norms):
-            if not fyy or dot_raw(f, y, gx):
-                continue
-            # GF(p) residues are never negative, so this test serves both fields
-            ratio = f.neg(f.div(fyy, fxx))
-            if ratio < 0 or not f.is_square_raw(ratio):
-                return x, y
-    return None
+    vectors = [vec for vec in itertools.product(values, repeat=nv) if any(vec)]
+    pair = _first_anisotropic_pair(f, gram.rows, vectors, max(1, _CLOSURE_CELLS // len(vectors)))
+    return None if pair is None else tuple(tuple(map(f.coerce, vectors[k])) for k in pair)
 
 
 def construct_spin_div(
@@ -692,10 +685,10 @@ def div_reduction(
 
 
 def _class_may_pass(
-    table: AlgebraTable, kind: str, dmap: LinearMap, point_cap: int, budget: int
+    table: AlgebraTable, kind: str, image: Subspace, point_cap: int, budget: int
 ) -> tuple[bool, int]:
-    """Lean test of one projective class of derivations, plus the number
-    of image points it enumerated.
+    """Lean test of one projective class of derivations, given its image,
+    plus the number of image points it enumerated.
 
     False as soon as a point of the image is not invertible; True when
     every point is, or when the image has more than `point_cap` points
@@ -712,7 +705,6 @@ def _class_may_pass(
     enumeration would have raised.
     """
     f = table.field
-    image = dmap.image()
     if (f.p**image.dim - 1) // (f.p - 1) > point_cap:
         return True, 0
     key = ("class_values", image.basis)
@@ -745,9 +737,11 @@ def div_search(
     lexicographic order of their coordinates on the derivation basis.
 
     lambda*D has the image of D, so one lean verdict serves each
-    projective class; only members of classes that pass get the full
-    `has_invertible_values` report.  `point_cap` bounds the points of one
-    image and of the whole search; a report left "unknown" raises CapExceeded.
+    projective class; the images of _CLOSURE_CELLS cells of classes come
+    from one product and one batched reduction.  Only members of classes
+    that pass get the full `has_invertible_values` report.  `point_cap`
+    bounds the points of one image and of the whole search; a report left
+    "unknown" raises CapExceeded.
     """
     f = table.field
     if f.is_rational:
@@ -764,6 +758,10 @@ def div_search(
     kind = _inversion_kind(table)
     budget = point_cap
     class_passes: dict[tuple, bool] = {}
+    # each class is first met at its key, and the keys come in this order
+    keys = _projective_points(f, Subspace.full(f, space.dim), trailing_first=True)
+    maps = _int_image(f, space._flat_basis)[0].reshape(space.dim, table.dim, table.dim)
+    images = _column_spaces(f, keys, maps, max(1, _CLOSURE_CELLS // table.dim**2))
     hits = []
     for tup in itertools.product(range(p), repeat=space.dim):
         lead = next((c for c in tup if c), 0)
@@ -773,7 +771,7 @@ def div_search(
         key = tuple(c * inv % p for c in tup)
         passes = class_passes.get(key)
         if passes is None:
-            passes, used = _class_may_pass(table, kind, space.combination(key), point_cap, budget)
+            passes, used = _class_may_pass(table, kind, next(images), point_cap, budget)
             budget -= used
             class_passes[key] = passes
         if not passes:

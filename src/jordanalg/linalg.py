@@ -37,6 +37,7 @@ allocated.
 Closures under linear maps are spun: `spin_closure` grows one space
 vector by vector; over GF(p), `_spin_batch` grows those of many vectors
 at once, with one batched row reduction per round (`_rref_batch`).
+`_rref_batch` also serves the images of many maps (`_column_spaces`).
 
 Pivoting is deterministic everywhere: leftmost pivot column first, and
 within a column the first row with a nonzero entry.
@@ -53,7 +54,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import compress, count, product
+from itertools import compress, count, islice, product
 from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
@@ -922,6 +923,41 @@ def _spin_batch(gens: np.ndarray, starts, p: int) -> tuple[np.ndarray, np.ndarra
     return out, dims
 
 
+def _column_spaces(field: Field, coeffs, maps: np.ndarray, step: int):
+    """`Matrix.column_space()` over GF(p) of sum_i c_i maps[i], for a stack
+    of n x n integer maps and each coefficient row c: per `step` rows, one
+    exact product and one `_rref_batch` of the transposed sums."""
+    p, n = field.p, maps.shape[-1]
+    coeffs = iter(coeffs)
+    while chunk := list(islice(coeffs, step)):
+        sums = _exact_matmul(_residues(chunk, p), maps.reshape(len(maps), -1), p).reshape(-1, n, n)
+        red, rank = _rref_batch(sums.transpose(0, 2, 1), p)
+        yield from (Subspace._wrap(field, n, rows[:r], canonical=True) for rows, r in zip(red.tolist(), rank.tolist()))
+
+
+def _first_anisotropic_pair(field: Field, gram, vectors, rows: int) -> tuple[int, int] | None:
+    """Indices (i, j), i-major and j-minor, of the first pair of `vectors`
+    with f(v_i, v_j) = 0 and -f(v_j, v_j)/f(v_i, v_i) a nonzero non-square,
+    for the form of the raw rows `gram`: one exact Gram product per `rows`
+    vectors v_i.  Over GF(p) the test is a lookup, since a quotient of
+    nonzero residues is a square when both or neither of them are."""
+    p = field.p
+    v = _int_image(field, vectors)[0]
+    vg = _exact_matmul(v, _int_image(field, gram)[0], p)  # over Q the scale cancels in every ratio
+    norms = _exact_matmul(vg[:, None, :], v[:, :, None], p).ravel()
+    if p:
+        squares = np.zeros(p, dtype=bool)
+        squares[np.arange(p) ** 2 % p] = True
+    for lo in range(0, len(v), rows):
+        hit = (_exact_matmul(vg[lo : lo + rows], v.T, p) == 0) & (norms != 0) & (norms[lo : lo + rows, None] != 0)
+        if p:
+            hit &= squares[norms[lo : lo + rows], None] != squares[-norms % p]
+        for i, j in zip(*np.nonzero(hit)):
+            if p or (ratio := Fraction(-int(norms[j]), int(norms[lo + i]))) < 0 or not field.is_square_raw(ratio):
+                return lo + int(i), int(j)
+    return None
+
+
 def _projective_points(field: Field, space: Subspace, *, trailing_first: bool = False):
     """Ambient vectors covering every line of the subspace once.
 
@@ -934,7 +970,7 @@ def _projective_points(field: Field, space: Subspace, *, trailing_first: bool = 
     leads = range(m - 1, -1, -1) if trailing_first else range(m)
     for lead in leads:
         for tail in product(range(field.p), repeat=m - lead - 1):
-            yield combine_raw(field, (1,) + tail, space.basis[lead:])
+            yield [0] * lead + [1, *tail] if m == space.ambient else combine_raw(field, (1,) + tail, space.basis[lead:])
 
 
 def solve(m: Matrix, rhs: Sequence) -> tuple | None:

@@ -4,6 +4,7 @@ import random
 import resource
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -52,7 +53,7 @@ from jordanalg.errors import (
 )
 from jordanalg.fields import Field, is_prime, prime_field
 from jordanalg.jordan import jordan_inverse, spin_norm
-from jordanalg.linalg import Matrix, Subspace, solve_raw
+from jordanalg.linalg import Matrix, Subspace, diagonalize_symmetric_form, dot_raw, solve_raw
 
 F3 = prime_field(3)
 F5 = prime_field(5)
@@ -441,6 +442,92 @@ def test_criterion_rejects_asymmetric_matrix():
 
     with pytest.raises(NotSymmetric):
         spin_div_criterion(Matrix(F3, [[0, 1], [2, 0]]))
+
+
+def _reference_criterion(gram, point_cap=10**6, height_bound=50):
+    """`spin_div_criterion` with its exhaustive pair search as one Python
+    double loop over the vectors, x-major and y-minor."""
+    f, nv = gram.field, gram.nrows
+    pmat, dmat = diagonalize_symmetric_form(gram)
+    diag = [dmat.rows[t][t] for t in range(nv)]
+    cols = [tuple(pmat.rows[r][t] for r in range(nv)) for t in range(nv)]
+    for i in range(nv):
+        for j in range(nv):
+            if i != j and diag[i] and diag[j] and not f.is_square_raw(f.neg(f.div(diag[j], diag[i]))):
+                return cols[i], cols[j]
+    if f.is_rational:
+        height = 1
+        while height < height_bound and ((2 * (height + 1) + 1) ** nv) ** 2 <= point_cap:
+            height += 1
+        values = range(-height, height + 1)
+    elif (f.p**nv - 1) ** 2 <= point_cap:
+        values = range(f.p)
+    else:
+        return None
+    vectors = [tuple(map(f.coerce, vec)) for vec in itertools.product(values, repeat=nv) if any(vec)]
+    images = [gram.apply(v) for v in vectors]
+    norms = [dot_raw(f, v, gv) for v, gv in zip(vectors, images)]
+    for x, gx, fxx in zip(vectors, images, norms):
+        if not fxx:
+            continue
+        for y, fyy in zip(vectors, norms):
+            if not fyy or dot_raw(f, y, gx):
+                continue
+            ratio = f.neg(f.div(fyy, fxx))
+            if ratio < 0 or not f.is_square_raw(ratio):
+                return x, y
+    return None
+
+
+@pytest.mark.parametrize("p,nv", [(p, nv) for p in (3, 5, 7) for nv in (1, 2, 3)])
+def test_criterion_matches_the_pair_loop_on_every_diagonal_form(p, nv):
+    field = prime_field(p)
+    for diag in itertools.product(range(p), repeat=nv):
+        gram = Matrix(field, [[d if r == c else 0 for c in range(nv)] for r, d in enumerate(diag)])
+        assert spin_div_criterion(gram) == _reference_criterion(gram), diag
+
+
+@pytest.mark.parametrize("p,nv", [(p, nv) for p in (3, 5, 7) for nv in (2, 3)])
+def test_criterion_matches_the_pair_loop_on_seeded_forms(p, nv):
+    field, rng = prime_field(p), random.Random(1000 * p + nv)
+    found = 0
+    for _ in range(30):
+        rows = [[0] * nv for _ in range(nv)]
+        for r in range(nv):
+            for c in range(r, nv):
+                rows[r][c] = rows[c][r] = rng.randrange(p)
+        rows[0][1] = rows[1][0] = rng.randrange(1, p)  # not diagonal
+        gram = Matrix(field, rows)
+        expected = _reference_criterion(gram)
+        assert spin_div_criterion(gram) == expected, rows
+        found += expected is not None
+    assert found
+
+
+@pytest.mark.parametrize("rows", [
+    [[1, 0], [0, 2]], [[2, 1], [1, 3]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]],  # definite
+    [[1, 0], [0, -1]], [[0, 1], [1, 0]], [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 3), -1]],  # indefinite
+    [[0, 0], [0, 1]], [[0, 0, 0], [0, 1, 0], [0, 0, -1]], [[1, 1], [1, 1]],  # degenerate
+])
+def test_criterion_matches_the_pair_loop_over_q(rows):
+    # 288 vectors for two variables, in 6 chunks; the Python loop takes
+    # seconds on the default cap's 960
+    gram = Matrix(Q, rows)
+    assert spin_div_criterion(gram, point_cap=10**5) == _reference_criterion(gram, point_cap=10**5)
+
+
+def test_criterion_search_forms_the_gram_products_in_chunks():
+    """728 vectors of GF(3)^6 and no pair in any chunk: one unchunked
+    product of all pairs would take 728 * 728 * 8 bytes, about 4 MB
+    (8.6 MB traced with its masks; 0.36 MB in chunks)."""
+    gram = Matrix(F3, [[int(r == c == 5) for c in range(6)] for r in range(6)])
+    tracemalloc.start()
+    try:
+        assert spin_div_criterion(gram) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,12 @@
 `div_search` takes one lean verdict per projective class of derivations
 and builds full reports only for classes that pass; it is compared,
 report field by report field, with a loop that runs the full
-`has_invertible_values` on every nonzero coefficient tuple.  The lean
-class test is compared with the full verdict class by class, and the
-work it does is counted: one lean test per class, one full report per
-hit, and a budget of enumerated points.  The image verdicts a search
+`has_invertible_values` on every nonzero coefficient tuple.  The class
+images, computed for a chunk of classes at once, are compared with the
+images of the combinations.  The lean class test is compared with the
+full verdict class by class, and the work it does is counted: one lean
+test per class, one full report per hit, and a budget of enumerated
+points.  The image verdicts a search
 leaves on a table are compared with the reports of a freshly built equal
 table, and the class verdicts it keeps must exhaust the point budget at
 the same cap as a lean test that enumerates every class's image again.
@@ -15,9 +17,11 @@ algebra, is compared with a closure run to its fixpoint.
 """
 
 import itertools
+import random
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -35,7 +39,7 @@ from jordanalg.derivations import derivation_space, div_search, has_invertible_v
 from jordanalg.errors import CapExceeded
 from jordanalg.fields import prime_field
 from jordanalg.formats import write_algebra
-from jordanalg.linalg import Subspace
+from jordanalg.linalg import Matrix, Subspace, _column_spaces
 
 F3, F5, F7 = prime_field(3), prime_field(5), prime_field(7)
 
@@ -140,7 +144,7 @@ def test_lean_class_verdict_matches_full_verdict(name):
     kind = _inversion_kind(table)
     for key in _classes(table.field.p, space.dim):
         dmap = space.combination(key)
-        passes, used = derivations._class_may_pass(table, kind, dmap, 10**6, 10**6)
+        passes, used = derivations._class_may_pass(table, kind, dmap.image(), 10**6, 10**6)
         full = has_invertible_values(table, dmap)
         assert passes == (full.verdict == "div"), key
         assert 1 <= used <= (table.field.p ** full.image.dim - 1) // (table.field.p - 1)
@@ -167,6 +171,63 @@ def test_div_search_does_one_lean_test_per_class_and_one_report_per_hit(name, mo
     p, d = table.field.p, derivation_space(table).dim
     assert calls["lean"] == (p**d - 1) // (p - 1)
     assert calls["full"] == len(hits)
+
+
+# ---------------------------------------------------------------------------
+# the class images
+
+
+@pytest.fixture(params=["one_class", "three_classes", "default"])
+def class_chunks(request, monkeypatch):
+    """Chunks of one class, of three classes of a 4-dim table (one of a
+    6-dim one), or at the default size, which takes every class here."""
+    if request.param != "default":
+        monkeypatch.setattr(derivations, "_CLOSURE_CELLS", 1 if request.param == "one_class" else 48)
+
+
+@pytest.mark.parametrize("name", sorted(SEARCH_TABLES))
+def test_class_images_equal_the_images_of_the_combinations(name, class_chunks, monkeypatch):
+    """The image each class test gets, in the order of the classes."""
+    table = SEARCH_TABLES[name]
+    seen = []
+
+    def spy(searched, kind, image, point_cap, budget):
+        seen.append(image)
+        return False, 0
+
+    monkeypatch.setattr(derivations, "_class_may_pass", spy)
+    div_search(table)
+    space = derivation_space(table)
+    assert seen == [space.combination(key).image() for key in _classes(table.field.p, space.dim)]
+
+
+@pytest.mark.parametrize("p", [2**31 - 1, 2**61 - 1])
+def test_column_spaces_at_large_primes(p):
+    """int64 maps with object products below 2^31, object maps above."""
+    field, rng = prime_field(p), random.Random(p)
+    n, d = 4, 3
+    # rank-2 maps, the third a multiple of the first: sums of rank 0, 2 and 4
+    maps = []
+    for _ in range(d):
+        left = [[rng.randrange(p) for _ in range(2)] for _ in range(n)]
+        right = [[rng.randrange(p) for _ in range(n)] for _ in range(2)]
+        maps.append(Matrix(field, left) @ Matrix(field, right))
+    maps[2] = maps[0].scale(rng.randrange(1, p))
+    coeffs = [[rng.randrange(p) for _ in range(d)] for _ in range(10)]
+    coeffs += [[0, 0, 0], [1, 0, 0], [0, 0, 1], [1, 0, p - 1], [0, 1, 0]]
+    got = list(_column_spaces(field, coeffs, np.array([m.rows for m in maps], dtype=object), 4))
+    expected = [(maps[0].scale(a) + maps[1].scale(b) + maps[2].scale(c)).column_space() for a, b, c in coeffs]
+    assert got == expected
+    assert {image.dim for image in got} == {0, 2, 4}
+
+
+@pytest.mark.parametrize("name", ["spin-gf3-(0, 1, 1)", "spin-gf7-(1, 2, 3)", "m2-gf3"])
+def test_div_search_takes_one_map_image_per_hit_report(name, monkeypatch):
+    calls = []
+    real = LinearMap.image
+    monkeypatch.setattr(LinearMap, "image", lambda self: calls.append(self) or real(self))
+    hits = div_search(_fresh_copy(SEARCH_TABLES[name]))
+    assert hits and calls == [hit.map for hit in hits]
 
 
 # ---------------------------------------------------------------------------
@@ -363,10 +424,9 @@ def test_hits_that_reduce_by_one_ideal_share_one_quotient(monkeypatch):
 # class verdicts kept on a table, charged at their point counts
 
 
-def _uncached_class_may_pass(table, kind, dmap, point_cap, budget):
+def _uncached_class_may_pass(table, kind, image, point_cap, budget):
     """The lean class test that enumerates every class's image again."""
     f = table.field
-    image = dmap.image()
     if (f.p**image.dim - 1) // (f.p - 1) > point_cap:
         return True, 0
     used = 0
@@ -392,9 +452,9 @@ def _reference_point_total(table, monkeypatch):
     whether some class repeats an image of an earlier class."""
     used, images = [], []
 
-    def counted(searched, kind, dmap, point_cap, budget):
-        images.append(dmap.image().basis)
-        passes, n = _uncached_class_may_pass(searched, kind, dmap, point_cap, budget)
+    def counted(searched, kind, image, point_cap, budget):
+        images.append(image.basis)
+        passes, n = _uncached_class_may_pass(searched, kind, image, point_cap, budget)
         used.append(n)
         return passes, n
 
