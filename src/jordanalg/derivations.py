@@ -74,6 +74,7 @@ from .linalg import (
     combine_raw,
     diagonalize_symmetric_form,
     dot_raw,
+    rref_raw,
     spin_closure,
 )
 
@@ -504,16 +505,16 @@ def construct_spin_div(
     if f.is_square_raw(f.neg(f.div(fyy, fxx))):
         raise CriterionNotSatisfied("-f(y,y)/f(x,x) must be a non-square")
     ortho = Matrix._wrap(f, [gx, gy]).nullspace()
-    span_basis = [list(x), list(y)] + [list(v) for v in ortho.basis]
-    if Matrix._wrap(f, span_basis).rank() != nv:
+    # [B | I], B with columns x, y and the orthogonal basis: B is invertible
+    # when the left pivots are 0..nv-1, and then the right half is B^-1
+    red, _, piv = rref_raw(f, [[*b, *e] for b, e in zip(zip(x, y, *ortho.basis), _identity_raw(f, nv))])
+    if piv != list(range(nv)):
         raise DegenerateSplit("x, y and their orthogonal complement must span")
-    basis_cols = Matrix._wrap(f, zip(*span_basis))
     minus_lam = f.neg(f.div(fyy, fxx))
     zero = f.zero()
     rows = [[zero] * (nv + 1) for _ in range(nv + 1)]
-    for c, e in enumerate(_identity_raw(f, nv)):
-        coeffs = basis_cols.solve(e)
-        img = combine_raw(f, (coeffs[0], f.mul(minus_lam, coeffs[1])), (y, x))
+    for c in range(nv):
+        img = combine_raw(f, (red[0][nv + c], f.mul(minus_lam, red[1][nv + c])), (y, x))
         for r in range(nv):
             rows[1 + r][1 + c] = img[r]
     dmap = LinearMap(table, Matrix._wrap(f, rows))
@@ -591,18 +592,18 @@ def largest_ideal_in_kernel(table: AlgebraTable, dmap: LinearMap) -> Subspace:
     """The largest ideal contained in ker D (the sum of all of them).
 
     It is the annihilator of the smallest space of functionals that holds
-    the annihilator of ker D and is closed under z -> z o L_b and
-    z -> z o R_b: the spin (`linalg.spin_closure`) of those functionals
-    under `_dual_products`.
+    the annihilator of ker D, which is the row space of D, and is closed
+    under z -> z o L_b and z -> z o R_b: the spin (`linalg.spin_closure`)
+    of those functionals under `_dual_products`.
     """
     if not is_derivation(table, dmap):
         raise NotADerivation("map fails the Leibniz rule")
-    kernel = dmap.kernel()
     sides = _product_sides(table)
-    dual = spin_closure(kernel.annihilator(), lambda z: _dual_products(table, z, sides))
+    row_space = Subspace._wrap(table.field, table.dim, dmap.matrix.rows)
+    dual = spin_closure(row_space, lambda z: _dual_products(table, z, sides))
     space = dual.annihilator()
     certify(is_ideal(table, space), "largest kernel ideal must be an ideal")
-    certify(all(kernel.contains_vector(v) for v in space.basis), "largest kernel ideal must lie in the kernel")
+    certify(not any(any(dmap.matrix.apply(v)) for v in space.basis), "largest kernel ideal must lie in the kernel")
     return space
 
 

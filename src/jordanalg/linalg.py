@@ -7,6 +7,10 @@ Everything here is exact.  Row reduction has two kernels:
   GF(p) system of at most `_NP_THRESHOLD` cells.
 * `_rref_mod_np`, on numpy arrays over GF(p), for every prime.
 
+`_rref_batch` reduces a stack of small GF(p) matrices at once, column
+by column across the stack.  Every canonical nullspace basis is read off
+one reduction, that of the column-reversed matrix (`_reversed_nullspace`).
+
 This module is the only one that picks a numpy dtype.  Integer arrays
 are stored in the dtype `_int_dtype` picks from their largest entry:
 int64 below 2^31, where the row-reduction update (the product of two
@@ -36,8 +40,8 @@ allocated.
 
 Closures under linear maps are spun: `spin_closure` grows one space
 vector by vector; over GF(p), `_spin_batch` grows those of many vectors
-at once, with one batched row reduction per round (`_rref_batch`).
-`_rref_batch` also serves the images of many maps (`_column_spaces`).
+at once, with one `_rref_batch` per round.  `_rref_batch` also serves
+the images of many maps (`_column_spaces`).
 
 Pivoting is deterministic everywhere: leftmost pivot column first, and
 within a column the first row with a nonzero entry.
@@ -54,7 +58,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import compress, count, islice, product
+from itertools import combinations, compress, count, islice, product
 from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
@@ -261,35 +265,34 @@ def _rref_mod_np(a, p: int) -> tuple[np.ndarray, int, list[int]]:
 
 
 def rref_raw(field: Field, rows: Sequence[Sequence[RawScalar]]):
-    """Reduced row echelon form of raw rows; returns (rows, rank, pivots)."""
-    return _rref_lists([list(r) for r in rows], field.p)
-
-
-def _rref_lists(rows: list[list], p: int | None):
-    """`rref_raw` of fresh lists over GF(p), or over Q when p is None: on
-    the numpy kernel past `_NP_THRESHOLD` cells over GF(p), on the Python
-    kernel otherwise."""
+    """Reduced row echelon form of raw rows; returns (rows, rank, pivots):
+    on the numpy kernel past `_NP_THRESHOLD` cells over GF(p), on the
+    Python kernel otherwise."""
+    p = field.p
     if p and len(rows) * (len(rows[0]) if rows else 0) > _NP_THRESHOLD:
         arr, rank, piv = _rref_mod_np(rows, p)
         return arr.tolist(), rank, piv
-    return _rref_mod_py(rows, p)
+    return _rref_mod_py([list(r) for r in rows], p)
 
 
-def _nullspace_standard_basis(rref_rows, pivots: list[int], ncols: int, p: int | None):
-    """Standard nullspace basis (one vector per free column) from an RREF."""
+def _reversed_nullspace(red, pivots: list[int], ncols: int, p: int | None):
+    """Canonical nullspace basis, and the pivot column of each row, from
+    the RREF of the column-reversed matrix: its standard nullspace
+    vectors, reversed back, have a 1 at their free column and their other
+    entries at pivot columns right of it, so they are in reduced echelon form."""
     pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
+    free = [c for c in range(ncols - 1, -1, -1) if c not in pivot_set]
     zero, one = (0, 1) if p else (Fraction(0), Fraction(1))
     basis = []
     for f in free:
         vec = [zero] * ncols
-        vec[f] = one
+        vec[ncols - 1 - f] = one
         for k, c in enumerate(pivots):
-            entry = rref_rows[k][f]
+            entry = red[k][f]
             if entry:
-                vec[c] = -entry % p if p else -entry
+                vec[ncols - 1 - c] = -entry % p if p else -entry
         basis.append(vec)
-    return basis
+    return basis, [ncols - 1 - f for f in free]
 
 
 def _nullspace_exact(field: Field, rows: list[list], ncols: int):
@@ -299,13 +302,9 @@ def _nullspace_exact(field: Field, rows: list[list], ncols: int):
 
 def _nullspace_lists(rows: list[list], ncols: int, p: int | None):
     """`_nullspace_exact` over GF(p), or over Q when p is None, and the
-    pivot column of each basis row."""
-    red, _, piv = _rref_mod_py(rows, p)
-    basis = _nullspace_standard_basis(red, piv, ncols, p)
-    if not basis:
-        return basis, []
-    basis, rank, piv = _rref_lists(basis, p)
-    return basis[:rank], piv
+    pivot column of each basis row: one reduction of the reversed rows."""
+    red, _, piv = _rref_mod_py([r[::-1] for r in rows], p)
+    return _reversed_nullspace(red, piv, ncols, p)
 
 
 def nullspace_raw(field: Field, rows: Sequence[Sequence[RawScalar]], ncols: int):
@@ -487,7 +486,9 @@ def _block_nullspace(m: np.ndarray, p: int | None, chunk: int = 3000) -> tuple[n
     Beyond, they are consumed in chunks on the numpy kernel; after each
     chunk the candidate space is cut down by the chunk's constraints
     expressed in the current basis, so the expensive full-width
-    elimination happens only once.
+    elimination happens only once.  The canonical basis N of a chunk's
+    nullspace, in the coordinates of the canonical basis B so far, gives
+    N B, which is again canonical, with B's pivots at N's pivots.
     """
     ncols = m.shape[1]
     if p is None:
@@ -497,7 +498,7 @@ def _block_nullspace(m: np.ndarray, p: int | None, chunk: int = 3000) -> tuple[n
     if m.size <= _NP_THRESHOLD:
         basis, piv = _nullspace_lists(m.tolist(), ncols, p)
         return np.array(basis, dtype=dtype).reshape(-1, ncols), piv
-    basis: np.ndarray | None = None
+    basis, pivots = None, None
     for lo in range(0, m.shape[0], chunk):
         blk = m[lo : lo + chunk]
         if basis is not None:
@@ -505,12 +506,12 @@ def _block_nullspace(m: np.ndarray, p: int | None, chunk: int = 3000) -> tuple[n
                 return basis, []
             blk = _exact_matmul(blk, basis.T, p)
         width = blk.shape[1]
-        red, rank, piv = _rref_mod_np(blk, p)
-        ns = _nullspace_standard_basis(red[:rank].tolist(), piv, width, p)
+        red, rank, piv = _rref_mod_np(blk[:, ::-1], p)
+        ns, ns_piv = _reversed_nullspace(red[:rank].tolist(), piv, width, p)
         ns = np.array(ns, dtype=dtype).reshape(-1, width)
         basis = ns if basis is None else _exact_matmul(ns, basis, p)
-    basis, rank, piv = _rref_mod_np(basis, p)
-    return basis[:rank], piv
+        pivots = ns_piv if pivots is None else [pivots[k] for k in ns_piv]
+    return basis, pivots
 
 
 # ---------------------------------------------------------------------------
@@ -1022,55 +1023,30 @@ def diagonalize_symmetric_form(g: Matrix) -> tuple[Matrix, Matrix]:
     working = _identity_raw(field, n)
     chosen: list[list] = []
     diag: list = []
-
-    def prune(vecs):
-        kept = []
-        seen = Subspace.zero(field, n)
-        for v in vecs:
-            if any(v) and not seen.contains_vector(v):
-                kept.append(v)
-                seen = seen.sum_with(Subspace._wrap(field, n, [v]))
-        return kept
-
-    while True:
-        working = prune(working)
-        if not working:
-            break
-        pivot = None
-        for v in working:
-            if form(v, v):
-                pivot = v
-                break
-        if pivot is None:
-            pair = None
-            for i in range(len(working)):
-                for j in range(i + 1, len(working)):
-                    if form(working[i], working[j]):
-                        pair = (i, j)
-                        break
-                if pair:
-                    break
+    # each step pops the one working vector that the projection would send
+    # to zero (the pivot's own) or onto minus another (a pair's second);
+    # the projections of the rest stay independent
+    while working:
+        k = next((k for k, v in enumerate(working) if form(v, v)), None)
+        if k is not None:
+            pivot = working.pop(k)
+        else:
+            pairs = combinations(range(len(working)), 2)
+            pair = next(((i, j) for i, j in pairs if form(working[i], working[j])), None)
             if pair is None:
                 # totally isotropic remainder: emit as zero diagonal entries
                 for v in working:
-                    v = _normalize_pivot(field, v)
-                    chosen.append(v)
+                    chosen.append(_normalize_pivot(field, v))
                     diag.append(field.zero())
                 break
             i, j = pair
-            pivot = combine_raw(field, (1, 1), (working[i], working[j]))
+            pivot = combine_raw(field, (1, 1), (working[i], working.pop(j)))
         pivot = _normalize_pivot(field, pivot)
         fv = form(pivot, pivot)
         chosen.append(pivot)
         diag.append(fv)
         inv = field.inv(fv)
-        nxt = []
-        for w in working:
-            c = field.mul(inv, form(pivot, w))
-            if c:
-                w = combine_raw(field, (1, -c), (w, pivot))
-            nxt.append(w)
-        working = nxt
+        working = [combine_raw(field, (1, -field.mul(inv, form(pivot, w))), (w, pivot)) for w in working]
 
     d_rows = [[field.zero()] * n for _ in range(n)]
     for i, d in enumerate(diag):

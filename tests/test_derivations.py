@@ -20,6 +20,7 @@ from jordanalg.constructions import (
     diagonal_spin_factor,
     matrix_algebra,
     plus_algebra,
+    spin_factor,
 )
 from jordanalg.derivations import (
     DerivationSpace,
@@ -569,6 +570,56 @@ def test_construct_with_orthogonal_rest():
     assert has_invertible_values(table, dmap).verdict == "div"
 
 
+def _reference_construction(table, x, y):
+    """The matrix rows of `construct_spin_div`'s map, with the coordinates
+    of each e_c on x, y and the orthogonal basis from one solve each."""
+    f, gram = table.field, table.meta.gram
+    nv = gram.nrows
+    x, y = [f.coerce(c) for c in x], [f.coerce(c) for c in y]
+    gx, gy = gram.apply(x), gram.apply(y)
+    minus_lam = f.neg(f.div(dot_raw(f, y, gy), dot_raw(f, x, gx)))
+    ortho = Matrix(f, [gx, gy]).nullspace()
+    basis_cols = Matrix(f, list(zip(x, y, *ortho.basis)))
+    rows = [[f.zero()] * (nv + 1) for _ in range(nv + 1)]
+    for c in range(nv):
+        coeffs = basis_cols.solve([f.one() if r == c else f.zero() for r in range(nv)])
+        for r in range(nv):
+            rows[1 + r][1 + c] = f.add(f.mul(coeffs[0], y[r]), f.mul(f.mul(minus_lam, coeffs[1]), x[r]))
+    return tuple(map(tuple, rows))
+
+
+def _construction_forms():
+    """Every diagonal GF(3), GF(5) form with nv <= 3, seeded non-diagonal
+    GF(7) forms and a few Q forms."""
+    for p in (3, 5):
+        for nv in (2, 3):
+            for diag in itertools.product(range(p), repeat=nv):
+                yield Matrix(prime_field(p), [[d if r == c else 0 for c in range(nv)] for r, d in enumerate(diag)])
+    rng = random.Random("construction-forms")
+    for nv in (2, 3, 4):
+        for _ in range(10):
+            rows = [[0] * nv for _ in range(nv)]
+            for r, c in itertools.combinations_with_replacement(range(nv), 2):
+                rows[r][c] = rows[c][r] = rng.randrange(7)
+            yield Matrix(F7, rows)
+    for rows in ([[1, 0], [0, 1]], [[2, 1], [1, 3]], [[1, 0, 0], [0, 1, 0], [0, 0, 3]], [[Fraction(1, 2), 0], [0, 5]]):
+        yield Matrix(Q, rows)
+
+
+def test_construction_matches_the_solve_per_basis_vector():
+    found = 0
+    for gram in _construction_forms():
+        pair = spin_div_criterion(gram, point_cap=10**4)
+        if pair is None:
+            continue
+        table = spin_factor(gram)
+        # point_cap=0 skips the exhaustive certificate of invertible values
+        dmap = construct_spin_div(table, *pair, point_cap=0)
+        assert dmap.matrix.rows == _reference_construction(table, *pair), gram.rows
+        found += 1
+    assert found > 50
+
+
 # ---------------------------------------------------------------------------
 # albert_div_witness
 
@@ -1018,3 +1069,29 @@ def test_derivation_space_spans_the_sympy_nullspace(table):
     if ours:
         theirs = sympy.Matrix.hstack(*expected).T
         assert sympy.Matrix(ours).rref()[0] == theirs.rref()[0]
+
+
+# ---------------------------------------------------------------------------
+# the Leibniz check at the float64-boundary prime
+
+
+def test_leibniz_products_are_reduced_before_the_sum_at_the_float64_bound(monkeypatch):
+    # at this prime three unreduced products of a dense 4-dim table can
+    # pass 2^53, so each product is reduced first and every defect that
+    # reaches the zero test is below 3p
+    field, dtype, reduce = LEIBNIZ_PATHS["GF-float64-boundary"]
+    assert (dtype, reduce) == (np.float64, True)
+    defects = []
+    real = derivations._is_zero_mod
+    monkeypatch.setattr(derivations, "_is_zero_mod", lambda a, p: defects.append(np.abs(a).max()) or real(a, p))
+    rng = random.Random("leibniz-float64-bound-defects")
+    tables = [diagonal_spin_factor(field, [1, 2, 3]), matrix_algebra(scalar_algebra(field), 2)]
+    for table in [_on_random_basis(t, rng) for t in tables for _ in range(3)]:
+        defects.clear()
+        for dmap in derivation_space(table).basis:
+            assert is_derivation(table, dmap)
+            rows = [list(row) for row in dmap.matrix.rows]
+            r, c = rng.randrange(4), rng.randrange(4)
+            rows[r][c] = field.add(rows[r][c], field.coerce(rng.randrange(1, field.p)))
+            assert not is_derivation(table, LinearMap(table, Matrix(field, rows)))
+        assert 0 < max(defects) < 3 * field.p

@@ -332,3 +332,13 @@ def test_enumerate_ideals_streams_its_points():
         tracemalloc.stop()
     assert [s.dim for s in ideals] == [0, 4, 8]
     assert peak < 1 << 20
+
+
+def test_kernel_ideal_outside_the_kernel_is_refused(monkeypatch):
+    # a dual spin that lost D's rows leaves the whole algebra, an ideal
+    # that a nonzero D does not kill
+    t2 = _t2(F3)
+    dmap = inner_assoc_derivation(t2, t2.element([0, 0, 1]))
+    monkeypatch.setattr(derivations, "spin_closure", lambda space, images: Subspace.zero(F3, 3))
+    with pytest.raises(CertificationError, match="must lie in the kernel"):
+        largest_ideal_in_kernel(t2, dmap)

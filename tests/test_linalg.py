@@ -2,20 +2,29 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from jordanalg import linalg
 from jordanalg.errors import AmbientMismatch, NotSymmetric
 from jordanalg.fields import RATIONALS, is_prime, prime_field
 from jordanalg.linalg import (
     Matrix,
     Subspace,
     _exact_matmul,
+    _identity_raw,
+    _normalize_pivot,
+    _nullspace_exact,
     _product_dtype,
     _nullspace_mod_staged,
     _rref_mod_np,
     _rref_mod_py,
+    combine_raw,
     diagonalize_symmetric_form,
+    dot_raw,
     nullspace_int_crt,
     nullspace_raw,
+    rref_raw,
 )
 
 import numpy as np
@@ -353,3 +362,188 @@ def test_exact_matmul_by_zeros_keeps_huge_entries_exact():
     zeros = _array([[0], [0]])
     assert _product_dtype(2, 3**700, 0) is object
     assert _exact_matmul(huge, zeros).tolist() == [[0]]
+
+
+# ---------------------------------------------------------------------------
+# each canonical basis from one reduction
+
+
+def _counted(monkeypatch, name):
+    """A list that gets one entry per call of linalg.<name>."""
+    calls = []
+    real = getattr(linalg, name)
+    monkeypatch.setattr(linalg, name, lambda *args: calls.append(1) or real(*args))
+    return calls
+
+
+def _low_rank_rows(field, rng, nrows, ncols, rank):
+    """nrows x ncols raw rows of rank at most `rank`, dense."""
+    def draw():
+        return field.coerce(rng.randrange(field.p) if field.p else rng.randint(-4, 4))
+
+    if not rank:
+        return Matrix.zeros(field, nrows, ncols)
+    left = [[draw() for _ in range(rank)] for _ in range(nrows)]
+    right = [[draw() for _ in range(ncols)] for _ in range(rank)]
+    return Matrix._wrap(field, left) @ Matrix._wrap(field, right)
+
+
+@pytest.mark.parametrize("field", [prime_field(5), prime_field(2**61 - 1), RATIONALS], ids=str)
+def test_nullspace_exact_reduces_once(monkeypatch, field):
+    rng = random.Random(f"one-reduction-{field}")
+    calls = _counted(monkeypatch, "_rref_mod_py")
+    for nrows, ncols, rank in [(3, 5, 2), (6, 6, 4), (4, 7, 4), (5, 3, 3), (2, 4, 0)]:
+        m = _low_rank_rows(field, rng, nrows, ncols, rank)
+        calls.clear()
+        basis = _nullspace_exact(field, [list(r) for r in m.rows], ncols)
+        assert len(calls) == 1
+        assert len(basis) == ncols - m.rank()
+        assert all(not any(m.apply(v)) for v in basis)
+        # already reduced echelon: its own reduction leaves it unchanged
+        assert rref_raw(field, basis)[0] == basis
+
+
+@pytest.mark.parametrize("p", [7, 2**31 - 1, 2**61 - 1])
+@pytest.mark.parametrize("chunk", [37, 100, 200])
+def test_block_nullspace_reduces_each_chunk_once(monkeypatch, p, chunk):
+    field = prime_field(p)
+    rows = [list(r) for r in _low_rank_rows(field, random.Random(p + chunk), 200, 30, 20).rows]
+    m = np.array(rows, dtype=np.int64 if p < 2**31 else object)
+    assert m.size > linalg._NP_THRESHOLD
+    calls = _counted(monkeypatch, "_rref_mod_np")
+    basis, pivots = linalg._block_nullspace(m, p, chunk)
+    assert len(calls) == -(-200 // chunk)
+    assert basis.tolist() == _nullspace_exact(field, rows, 30)
+    assert len(basis) == 10
+    assert pivots == [next(c for c, x in enumerate(row) if x) for row in basis.tolist()]
+    assert rref_raw(field, basis.tolist())[0] == basis.tolist()
+
+
+def test_diagonalize_makes_no_rref_raw_call(monkeypatch):
+    calls = _counted(monkeypatch, "rref_raw")
+    for f in (prime_field(3), RATIONALS):
+        for rows in ([[0, 1, 0], [1, 0, 0], [0, 0, 0]], [[1, 1, 0], [1, 1, 2], [0, 2, 0]], [[2, 1], [1, 2]]):
+            diagonalize_symmetric_form(Matrix(f, rows))
+    assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# diagonalization against the re-spanning procedure
+
+
+def _reference_diagonalize(g, branches):
+    """`diagonalize_symmetric_form` as it re-spans its working vectors
+    after every step, dropping zero vectors and vectors in the span of
+    earlier ones; appends the branch of each step to `branches`."""
+    field = g.field
+    n = g.nrows
+
+    def form(u, v):
+        return dot_raw(field, u, g.apply(v))
+
+    working = _identity_raw(field, n)
+    chosen, diag = [], []
+
+    def prune(vecs):
+        kept = []
+        seen = Subspace.zero(field, n)
+        for v in vecs:
+            if any(v) and not seen.contains_vector(v):
+                kept.append(v)
+                seen = seen.sum_with(Subspace._wrap(field, n, [v]))
+        return kept
+
+    while True:
+        working = prune(working)
+        if not working:
+            break
+        pivot = next((v for v in working if form(v, v)), None)
+        if pivot is None:
+            pair = None
+            for i in range(len(working)):
+                for j in range(i + 1, len(working)):
+                    if form(working[i], working[j]):
+                        pair = (i, j)
+                        break
+                if pair:
+                    break
+            if pair is None:
+                branches.append("isotropic")
+                for v in working:
+                    chosen.append(_normalize_pivot(field, v))
+                    diag.append(field.zero())
+                break
+            branches.append("pair")
+            pivot = combine_raw(field, (1, 1), (working[pair[0]], working[pair[1]]))
+        else:
+            branches.append("single")
+        pivot = _normalize_pivot(field, pivot)
+        fv = form(pivot, pivot)
+        chosen.append(pivot)
+        diag.append(fv)
+        inv = field.inv(fv)
+        nxt = []
+        for w in working:
+            c = field.mul(inv, form(pivot, w))
+            if c:
+                w = combine_raw(field, (1, -c), (w, pivot))
+            nxt.append(w)
+        working = nxt
+    d_rows = [[field.zero()] * n for _ in range(n)]
+    for i, d in enumerate(diag):
+        d_rows[i][i] = d
+    return Matrix._wrap(field, zip(*chosen)), Matrix._wrap(field, d_rows)
+
+
+FORM_FIELDS = {"GF3": prime_field(3), "GF5": prime_field(5), "GF7": prime_field(7),
+               "GF(2^61-1)": prime_field(2**61 - 1), "Q": RATIONALS}
+
+
+@st.composite
+def symmetric_forms(draw):
+    """(kind, form): a symmetric form of dim <= 6 that is random, of
+    lower rank (M^T A M), hollow (zero diagonal, so every basis vector is
+    isotropic) or zero (totally isotropic)."""
+    field = FORM_FIELDS[draw(st.sampled_from(sorted(FORM_FIELDS)))]
+    if field.p:
+        entry = st.one_of(st.integers(-2, 2), st.integers(0, field.p - 1)).map(field.coerce)
+    else:
+        entry = st.fractions(-3, 3, max_denominator=3)
+    n = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["random", "degenerate", "hollow", "zero"]))
+
+    def symmetric(k):
+        rows = [[field.zero()] * k for _ in range(k)]
+        for i in range(k):
+            for j in range(i, k):
+                rows[i][j] = rows[j][i] = draw(entry)
+        return Matrix._wrap(field, rows)
+
+    if kind == "degenerate":
+        k = draw(st.integers(0, n - 1))
+        m = Matrix._wrap(field, [[draw(entry) for _ in range(n)] for _ in range(k)])
+        return kind, m.transpose() @ symmetric(k) @ m if k else Matrix.zeros(field, n, n)
+    if kind == "zero":
+        return kind, Matrix.zeros(field, n, n)
+    g = [list(r) for r in symmetric(n).rows]
+    if kind == "hollow":
+        for i in range(n):
+            g[i][i] = field.zero()
+        if n > 1 and not any(map(any, g)):
+            g[0][1] = g[1][0] = field.one()
+    return kind, Matrix._wrap(field, g)
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(symmetric_forms())
+def test_diagonalize_matches_the_re_spanning_reference(case):
+    kind, g = case
+    branches = []
+    expected = _reference_diagonalize(g, branches)
+    p_mat, d_mat = diagonalize_symmetric_form(g)
+    assert (p_mat.rows, d_mat.rows) == (expected[0].rows, expected[1].rows)
+    assert p_mat.transpose() @ g @ p_mat == d_mat
+    if kind == "hollow" and g.nrows > 1:
+        assert branches[0] == "pair"
+    if kind == "zero":
+        assert branches == ["isotropic"]
