@@ -345,10 +345,13 @@ class Element:
 class LinearMap:
     """A linear endomorphism of an algebra's underlying space.
 
-    Column j of the matrix is the image of basis vector j.
+    Column j of the matrix is the image of basis vector j.  A map never
+    rebinds `matrix` and a Matrix is immutable, so what depends on the
+    matrix alone (kernel, image, the Leibniz verdict of
+    `derivations.is_derivation`) is computed once per map in `_facts`.
     """
 
-    __slots__ = ("algebra", "matrix")
+    __slots__ = ("algebra", "matrix", "_facts")
 
     def __init__(self, algebra: AlgebraTable, matrix: Matrix):
         if matrix.field != algebra.field:
@@ -357,6 +360,7 @@ class LinearMap:
             raise BadParameters("map shape differs from algebra dimension")
         self.algebra = algebra
         self.matrix = matrix
+        self._facts: dict = {}
 
     @classmethod
     def from_images(cls, algebra: AlgebraTable, images: Sequence[Sequence]) -> "LinearMap":
@@ -412,10 +416,14 @@ class LinearMap:
         return self.matrix.is_zero()
 
     def kernel(self) -> Subspace:
-        return self.matrix.nullspace()
+        if "kernel" not in self._facts:
+            self._facts["kernel"] = self.matrix.nullspace()
+        return self._facts["kernel"]
 
     def image(self) -> Subspace:
-        return self.matrix.column_space()
+        if "image" not in self._facts:
+            self._facts["image"] = self.matrix.column_space()
+        return self._facts["image"]
 
     def restricts_to(self, space: Subspace) -> bool:
         """Whether the map sends the given subspace into itself."""

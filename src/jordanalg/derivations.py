@@ -13,6 +13,7 @@ verdict with a re-verified witness whenever the answer is negative.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import random
 from dataclasses import dataclass
@@ -45,7 +46,6 @@ from .errors import (
     CapExceeded,
     CertificationError,
     CriterionNotSatisfied,
-    DegenerateSplit,
     FieldMismatch,
     NotADerivation,
     NotAlbertType,
@@ -119,10 +119,13 @@ def _leibniz_holds(table: AlgebraTable, maps) -> bool:
 
 
 def is_derivation(table: AlgebraTable, dmap: LinearMap) -> bool:
-    """Whether D(xy) = D(x)y + x D(y) holds on all basis pairs, exactly."""
+    """Whether D(xy) = D(x)y + x D(y) holds on all basis pairs, exactly;
+    decided once per map (`LinearMap._facts`)."""
     if dmap.algebra != table:
         raise AlgebraMismatch("map is defined on a different algebra")
-    return _leibniz_holds(table, [dmap])
+    if "leibniz" not in dmap._facts:
+        dmap._facts["leibniz"] = _leibniz_holds(table, [dmap])
+    return dmap._facts["leibniz"]
 
 
 @dataclass(frozen=True)
@@ -508,8 +511,7 @@ def construct_spin_div(
     # [B | I], B with columns x, y and the orthogonal basis: B is invertible
     # when the left pivots are 0..nv-1, and then the right half is B^-1
     red, _, piv = rref_raw(f, [[*b, *e] for b, e in zip(zip(x, y, *ortho.basis), _identity_raw(f, nv))])
-    if piv != list(range(nv)):
-        raise DegenerateSplit("x, y and their orthogonal complement must span")
+    certify(piv == list(range(nv)), "x, y and their orthogonal complement must span")
     minus_lam = f.neg(f.div(fyy, fxx))
     zero = f.zero()
     rows = [[zero] * (nv + 1) for _ in range(nv + 1)]
@@ -594,15 +596,20 @@ def largest_ideal_in_kernel(table: AlgebraTable, dmap: LinearMap) -> Subspace:
     It is the annihilator of the smallest space of functionals that holds
     the annihilator of ker D, which is the row space of D, and is closed
     under z -> z o L_b and z -> z o R_b: the spin (`linalg.spin_closure`)
-    of those functionals under `_dual_products`.
+    of those functionals under `_dual_products`.  It depends on ker D
+    alone, so it is spun and certified an ideal once per table and
+    kernel; that it lies in ker D is certified on every call.
     """
     if not is_derivation(table, dmap):
         raise NotADerivation("map fails the Leibniz rule")
-    sides = _product_sides(table)
-    row_space = Subspace._wrap(table.field, table.dim, dmap.matrix.rows)
-    dual = spin_closure(row_space, lambda z: _dual_products(table, z, sides))
-    space = dual.annihilator()
-    certify(is_ideal(table, space), "largest kernel ideal must be an ideal")
+    key = ("kernel_ideal", dmap.kernel().basis)
+    if key not in table._cache:
+        sides = _product_sides(table)
+        row_space = Subspace._wrap(table.field, table.dim, dmap.matrix.rows)
+        space = spin_closure(row_space, lambda z: _dual_products(table, z, sides)).annihilator()
+        certify(is_ideal(table, space), "largest kernel ideal must be an ideal")
+        table._cache[key] = space
+    space = table._cache[key]
     certify(not any(any(dmap.matrix.apply(v)) for v in space.basis), "largest kernel ideal must lie in the kernel")
     return space
 
@@ -740,7 +747,8 @@ def div_search(
     lambda*D has the image of D, so one lean verdict serves each
     projective class; the images of _CLOSURE_CELLS cells of classes come
     from one product and one batched reduction.  Only members of classes
-    that pass get the full `has_invertible_values` report.  `point_cap`
+    that pass are visited, each with the full `has_invertible_values`
+    report, merged with the class keys in tuple order.  `point_cap`
     bounds the points of one image and of the whole search; a report left
     "unknown" raises CapExceeded.
     """
@@ -758,30 +766,32 @@ def div_search(
     p = f.p
     kind = _inversion_kind(table)
     budget = point_cap
-    class_passes: dict[tuple, bool] = {}
-    # each class is first met at its key, and the keys come in this order
-    keys = _projective_points(f, Subspace.full(f, space.dim), trailing_first=True)
+    # the keys (lead 1) come in lexicographic order, and each is where a
+    # lexicographic walk of all p^d tuples first meets its class
+    keys, walk = itertools.tee(_projective_points(f, Subspace.full(f, space.dim), trailing_first=True))
     maps = _int_image(f, space._flat_basis)[0].reshape(space.dim, table.dim, table.dim)
     images = _column_spaces(f, keys, maps, max(1, _CLOSURE_CELLS // table.dim**2))
     hits = []
-    for tup in itertools.product(range(p), repeat=space.dim):
-        lead = next((c for c in tup if c), 0)
-        if not lead:
-            continue
-        inv = pow(lead, -1, p)
-        key = tuple(c * inv % p for c in tup)
-        passes = class_passes.get(key)
-        if passes is None:
-            passes, used = _class_may_pass(table, kind, next(images), point_cap, budget)
-            budget -= used
-            class_passes[key] = passes
-        if not passes:
-            continue
+    members: list[tuple] = []  # heap of the members c*key, c = 2..p-1, of classes that passed
+
+    def visit(tup):
         report = has_invertible_values(table, space.combination(tup), point_cap=point_cap)
         if report.verdict == "unknown":
             raise CapExceeded(f"a derivation's values are left undecided at the point cap {point_cap}")
         if report.verdict == "div":
             hits.append(report)
+
+    for key in map(tuple, walk):
+        while members and members[0] < key:
+            visit(heapq.heappop(members))
+        passes, used = _class_may_pass(table, kind, next(images), point_cap, budget)
+        budget -= used
+        if passes:
+            visit(key)
+            for c in range(2, p):
+                heapq.heappush(members, tuple(c * x % p for x in key))
+    for tup in sorted(members):
+        visit(tup)
     return hits
 
 

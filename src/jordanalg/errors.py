@@ -93,10 +93,6 @@ class CriterionNotSatisfied(AlgebraError):
     """Witness vectors do not satisfy the two-vector criterion."""
 
 
-class DegenerateSplit(AlgebraError):
-    """The requested orthogonal split does not span the space."""
-
-
 class RecipeFailure(AlgebraError):
     """A construction step that is guaranteed by theory failed on the
     concrete input; this signals an internal inconsistency and is meant

@@ -13,7 +13,11 @@ leaves on a table are compared with the reports of a freshly built equal
 table, and the class verdicts it keeps must exhaust the point budget at
 the same cap as a lean test that enumerates every class's image again.
 `ideal_closure`, which stops as soon as it reaches the whole
-algebra, is compared with a closure run to its fixpoint.
+algebra, is compared with a closure run to its fixpoint.  The search's
+walk over the classes is compared with the tuple loop it replaced, and
+the facts kept per map (the Leibniz verdict, kernel and image) and per
+kernel (the largest ideal inside it) with the same facts on fresh maps
+and tables.
 """
 
 import itertools
@@ -31,6 +35,7 @@ from jordanalg.algebra import (
     AlgebraTable,
     LinearMap,
     _inversion_kind,
+    direct_sum,
     ideal_closure,
     split_null_extension,
 )
@@ -500,3 +505,131 @@ def test_class_verdicts_charge_like_the_uncached_test_at_every_cap(monkeypatch):
         expected = _reference_outcome(table, cap, monkeypatch)
         assert _outcome(_fresh_copy(table), cap) == expected, cap
         assert _outcome(warm, cap) == expected, cap
+
+
+# ---------------------------------------------------------------------------
+# the class walk against the tuple loop it replaced
+
+
+def _tuple_loop_div_search(table, point_cap):
+    """`div_search` as a loop over all p^d coefficient tuples in
+    lexicographic order, testing each class where the loop first meets it
+    (at its key, lead coefficient 1) and reporting every member of a class
+    that passed."""
+    f = table.field
+    p = f.p
+    space = derivation_space(table)
+    kind = _inversion_kind(table)
+    budget = point_cap
+    keys = derivations._projective_points(f, Subspace.full(f, space.dim), trailing_first=True)
+    maps = derivations._int_image(f, space._flat_basis)[0].reshape(space.dim, table.dim, table.dim)
+    images = _column_spaces(f, keys, maps, max(1, derivations._CLOSURE_CELLS // table.dim**2))
+    class_passes = {}
+    hits = []
+    for tup in itertools.product(range(p), repeat=space.dim):
+        lead = next((c for c in tup if c), 0)
+        if not lead:
+            continue
+        inv = pow(lead, -1, p)
+        key = tuple(c * inv % p for c in tup)
+        passes = class_passes.get(key)
+        if passes is None:
+            passes, used = derivations._class_may_pass(table, kind, next(images), point_cap, budget)
+            budget -= used
+            class_passes[key] = passes
+        if not passes:
+            continue
+        report = has_invertible_values(table, space.combination(tup), point_cap=point_cap)
+        if report.verdict == "unknown":
+            raise CapExceeded(f"a derivation's values are left undecided at the point cap {point_cap}")
+        if report.verdict == "div":
+            hits.append(report)
+    return hits
+
+
+@pytest.mark.parametrize("name", sorted(SEARCH_TABLES))
+def test_class_walk_matches_the_tuple_loop_at_every_cap(name):
+    """The same reports in the same order, or the same CapExceeded."""
+    table = SEARCH_TABLES[name]
+    for cap in (8, 50, 10**6):
+        try:
+            expected = [_fields(r) for r in _tuple_loop_div_search(_fresh_copy(table), cap)]
+        except CapExceeded as exc:
+            expected = str(exc)
+        assert _outcome(_fresh_copy(table), cap) == expected, cap
+
+
+# ---------------------------------------------------------------------------
+# facts kept per map and per kernel
+
+
+@pytest.mark.parametrize("name", ["spin-gf3-(0, 1, 1)", "spin-gf7-(1, 2, 3)", "m2-gf3"])
+def test_each_map_is_checked_for_leibniz_once(name, monkeypatch):
+    """One `_leibniz_holds` call per map object over a classification, a
+    reduction and the classification of the induced map."""
+    table = SEARCH_TABLES[name]
+    hits = div_search(table)
+    checked = []
+    real = derivations._leibniz_holds
+    monkeypatch.setattr(derivations, "_leibniz_holds", lambda t, maps: checked.extend(maps) or real(t, maps))
+    expected = []
+    for hit in hits:
+        dmap = LinearMap(table, hit.map.matrix)
+        assert has_invertible_values(table, dmap).verdict == "div"
+        result = derivations.div_reduction(table, dmap)
+        assert has_invertible_values(result.quotient, result.induced).verdict == "div"
+        expected += [dmap, result.induced]
+    assert hits and len(checked) == len(expected)
+    assert all(a is b for a, b in zip(checked, expected))
+
+
+def _reduction_fields(result):
+    return result.ideal, result.quotient, result.induced
+
+
+@pytest.mark.parametrize("name", sorted(SEARCH_TABLES))
+def test_warm_table_reductions_equal_fresh_table_reductions(name):
+    """Every hit reduced twice on one table, so that the second round reads
+    every kernel ideal and quotient it keeps, equals its reduction on a
+    fresh equal table."""
+    table = SEARCH_TABLES[name]
+    hits = div_search(table)
+    for _ in range(2):
+        warm = [derivations.div_reduction(table, hit.map) for hit in hits]
+    for hit, result in zip(hits, warm):
+        fresh = _fresh_copy(table)
+        expected = derivations.div_reduction(fresh, LinearMap(fresh, hit.map.matrix))
+        assert _reduction_fields(result) == _reduction_fields(expected)
+
+
+def _summand_maps():
+    """D + 0 and 0 + D on the direct sum of two copies of the GF(3) spin
+    factor diag(1, 1), D spanning its derivations."""
+    spin = diagonal_spin_factor(F3, [1, 1])
+    (base,) = derivation_space(spin).basis
+    table = direct_sum(spin, spin)
+    n = spin.dim
+    zero = [0] * n
+    first = [list(row) + zero for row in base.matrix.rows] + [[0] * (2 * n) for _ in range(n)]
+    second = [[0] * (2 * n) for _ in range(n)] + [zero + list(row) for row in base.matrix.rows]
+    return table, LinearMap(table, Matrix(F3, first)), LinearMap(table, Matrix(F3, second))
+
+
+def test_maps_with_one_kernel_share_one_kernel_ideal(monkeypatch):
+    table, first, _ = _summand_maps()
+    spun = []
+    real = derivations.spin_closure
+    monkeypatch.setattr(derivations, "spin_closure", lambda *args: spun.append(args) or real(*args))
+    twice = first.scale(2)
+    assert twice.kernel() == first.kernel() and twice is not first
+    ideal = derivations.largest_ideal_in_kernel(table, first)
+    assert derivations.largest_ideal_in_kernel(table, twice) == ideal
+    assert len(spun) == 1
+
+
+def test_kernels_of_one_dimension_keep_their_own_ideals():
+    table, first, second = _summand_maps()
+    assert first.kernel().dim == second.kernel().dim and first.kernel() != second.kernel()
+    ideals = [derivations.largest_ideal_in_kernel(table, dmap) for dmap in (first, second)]
+    n = table.dim // 2
+    assert [ideal.pivots for ideal in ideals] == [tuple(range(n, 2 * n)), tuple(range(n))]
