@@ -435,32 +435,17 @@ class LinearMap:
 
 
 def _solve_for_unit(table: AlgebraTable) -> tuple | None:
+    """The u with R_{b_j} u = b_j and L_{b_j} u = b_j for every j, each
+    distinct (row, rhs) equation kept once, or None."""
     f = table.field
-    n = table.dim
-    zero = f.zero()
-    left = {}
-    right = {}
-    for (i, j), pairs in table._rows.items():
-        for k, v in pairs:
-            left.setdefault((j, k), [zero] * n)[i] = v
-            right.setdefault((i, k), [zero] * n)[j] = v
-    rows = []
-    seen = set()
-    for eqs in (left, right):
-        for j in range(n):
-            for k in range(n):
-                row = eqs.get((j, k), [zero] * n)
-                rhs = f.one() if j == k else zero
-                key = tuple(row) + (rhs,)
-                if key not in seen:
-                    seen.add(key)
-                    rows.append((list(row), rhs))
-    mat = [r for r, _ in rows]
-    rhs = [b for _, b in rows]
-    sol = solve_raw(f, mat, rhs)
-    if sol is None:
-        return None
-    return tuple(sol)
+    eqs = dict.fromkeys(
+        (tuple(row), b[k])
+        for side in ("right", "left")
+        for b in _identity_raw(f, table.dim)
+        for k, row in enumerate(table.mult_operator(b, side))
+    )
+    sol = solve_raw(f, [row for row, _ in eqs], [rhs for _, rhs in eqs])
+    return None if sol is None else tuple(sol)
 
 
 def find_unit(table: AlgebraTable) -> Element | None:

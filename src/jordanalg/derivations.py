@@ -74,7 +74,6 @@ from .linalg import (
     combine_raw,
     diagonalize_symmetric_form,
     dot_raw,
-    rref_raw,
     spin_closure,
 )
 
@@ -297,7 +296,12 @@ def _gram_restricted_to(table: AlgebraTable, image: Subspace) -> Matrix:
 
 def _spin_norm_verdict(table, dmap, kernel, image, height_bound, point_cap):
     """Classify a spin-factor derivation by anisotropy of the restricted
-    norm form: isotropic vectors are nonzero non-invertible values."""
+    norm form, diagonalized to d_1..d_m: isotropic vectors are nonzero
+    non-invertible values.  A zero d_i, a form in three or more variables
+    over GF(p), and the first pair i < j with -d_j/d_i a square (as is
+    -d_i/d_j) each give one; without them binary forms over GF(p) and
+    definite ones over Q are anisotropic, and other rational forms get a
+    bounded search."""
     f = table.field
     m = image.dim
     restricted = _gram_restricted_to(table, image)
@@ -317,16 +321,7 @@ def _spin_norm_verdict(table, dmap, kernel, image, height_bound, point_cap):
             )
     if m == 1:
         return DivReport(dmap, True, kernel, image, "div", None, "spin_norm")
-    if not f.is_rational:
-        if m == 2:
-            ratio = f.neg(f.div(diag[1], diag[0]))
-            if not f.is_square_raw(ratio):
-                return DivReport(dmap, True, kernel, image, "div", None, "spin_norm")
-            coeffs = combine_raw(f, (f.sqrt_raw(ratio), 1), cols[:2])
-            return _witnessed_not_div(
-                table, dmap, kernel, image, ambient_value(coeffs), "spin_norm"
-            )
-        # any form in three or more variables over GF(p) has a nonzero zero
+    if not f.is_rational and m >= 3:
         for s in range(f.p):
             rhs = f.div(f.sub(f.neg(diag[2]), f.mul(diag[0], f.mul(s, s))), diag[1])
             if f.is_square_raw(rhs):
@@ -335,22 +330,20 @@ def _spin_norm_verdict(table, dmap, kernel, image, height_bound, point_cap):
                     table, dmap, kernel, image, ambient_value(coeffs), "spin_norm"
                 )
         raise CertificationError("ternary form over a prime field must be isotropic")
-    # rational case: definiteness settles anisotropy, otherwise bounded search
+    for i, j in itertools.combinations(range(m), 2):
+        ratio = f.neg(f.div(diag[j], diag[i]))
+        if f.is_square_raw(ratio):
+            coeffs = combine_raw(f, (f.sqrt_raw(ratio), 1), (cols[i], cols[j]))
+            return _witnessed_not_div(
+                table, dmap, kernel, image, ambient_value(coeffs), "spin_norm"
+            )
+    if not f.is_rational:
+        return DivReport(dmap, True, kernel, image, "div", None, "spin_norm")
     if all(d > 0 for d in diag) or all(d < 0 for d in diag):
         return DivReport(
             dmap, True, kernel, image, "div", None, "spin_norm",
             "restricted norm form is definite",
         )
-    for i in range(m):
-        for j in range(m):
-            if i == j or diag[i] == 0 or diag[j] == 0:
-                continue
-            ratio = -diag[j] / diag[i]
-            if ratio > 0 and f.is_square_raw(ratio):
-                coeffs = combine_raw(f, (f.sqrt_raw(ratio), 1), (cols[i], cols[j]))
-                return _witnessed_not_div(
-                    table, dmap, kernel, image, ambient_value(coeffs), "spin_norm"
-                )
     budget = point_cap
     for height in range(1, height_bound + 1):
         for coeffs in itertools.product(range(-height, height + 1), repeat=m):
@@ -433,12 +426,11 @@ def has_invertible_values(
 # spin factors: the existence criterion and the construction
 
 
-def spin_div_criterion(
-    gram: Matrix,
-    *,
-    point_cap: int = 10**6,
-    height_bound: int = 50,
-) -> tuple[tuple, tuple] | None:
+# Largest height of the rational vectors `spin_div_criterion` searches.
+CRITERION_HEIGHT_BOUND = 50
+
+
+def spin_div_criterion(gram: Matrix, *, point_cap: int = 10**6) -> tuple[tuple, tuple] | None:
     """Search for vectors x, y with f(x,x) != 0, f(y,y) != 0, f(x,y) = 0
     and -f(y,y)/f(x,x) a non-square; such a pair exists exactly when the
     spin factor of the form carries a derivation with invertible values.
@@ -457,18 +449,13 @@ def spin_div_criterion(
     pmat, dmat = diagonalize_symmetric_form(gram)
     diag = [dmat.rows[t][t] for t in range(nv)]
     cols = [tuple(pmat.rows[r][t] for r in range(nv)) for t in range(nv)]
-    for i in range(nv):
-        if not diag[i]:
-            continue
-        for j in range(nv):
-            if j == i or not diag[j]:
-                continue
-            ratio = f.neg(f.div(diag[j], diag[i]))
-            if not f.is_square_raw(ratio):
-                return cols[i], cols[j]
+    # -d_j/d_i and -d_i/d_j are squares together, so pairs i < j suffice
+    for i, j in itertools.combinations(range(nv), 2):
+        if diag[i] and diag[j] and not f.is_square_raw(f.neg(f.div(diag[j], diag[i]))):
+            return cols[i], cols[j]
     if f.is_rational:
         height = 1
-        while height < height_bound and ((2 * (height + 1) + 1) ** nv) ** 2 <= point_cap:
+        while height < CRITERION_HEIGHT_BOUND and ((2 * (height + 1) + 1) ** nv) ** 2 <= point_cap:
             height += 1
         values = range(-height, height + 1)
     elif (f.p**nv - 1) ** 2 <= point_cap:
@@ -488,7 +475,9 @@ def construct_spin_div(
     point_cap: int = 10**6,
 ) -> LinearMap:
     """The derivation sending x to y, y to -(f(y,y)/f(x,x))x, and the
-    orthogonal complement of span{x, y} (plus the unit line) to zero."""
+    orthogonal complement of span{x, y} (plus the unit line) to zero:
+    D(v) = (f(v,x) y - f(v,y) x)/f(x,x), since v = a x + b y + w with w
+    orthogonal to x, y has a = f(v,x)/f(x,x) and b = f(v,y)/f(y,y)."""
     meta = table.meta
     if not isinstance(meta, SpinMeta):
         raise NotSpinFactor("construction lives on a spin factor")
@@ -507,18 +496,10 @@ def construct_spin_div(
         )
     if f.is_square_raw(f.neg(f.div(fyy, fxx))):
         raise CriterionNotSatisfied("-f(y,y)/f(x,x) must be a non-square")
-    ortho = Matrix._wrap(f, [gx, gy]).nullspace()
-    # [B | I], B with columns x, y and the orthogonal basis: B is invertible
-    # when the left pivots are 0..nv-1, and then the right half is B^-1
-    red, _, piv = rref_raw(f, [[*b, *e] for b, e in zip(zip(x, y, *ortho.basis), _identity_raw(f, nv))])
-    certify(piv == list(range(nv)), "x, y and their orthogonal complement must span")
-    minus_lam = f.neg(f.div(fyy, fxx))
     zero = f.zero()
-    rows = [[zero] * (nv + 1) for _ in range(nv + 1)]
-    for c in range(nv):
-        img = combine_raw(f, (red[0][nv + c], f.mul(minus_lam, red[1][nv + c])), (y, x))
-        for r in range(nv):
-            rows[1 + r][1 + c] = img[r]
+    rows = [[zero] * (nv + 1)]
+    for yr, xr in zip(y, x):
+        rows.append([zero] + [f.div(f.sub(f.mul(yr, gxc), f.mul(xr, gyc)), fxx) for gxc, gyc in zip(gx, gy)])
     dmap = LinearMap(table, Matrix._wrap(f, rows))
     certify(is_derivation(table, dmap), "construction must satisfy Leibniz")
     if not f.is_rational:
@@ -810,64 +791,44 @@ def sample_derivation(space: DerivationSpace, rng: random.Random) -> LinearMap:
             return space.combination(coeffs)
 
 
-def _split_meta(table: AlgebraTable) -> SplitNullMeta:
-    if not isinstance(table.meta, SplitNullMeta):
+def _extension_map(ext: AlgebraTable, base_map: LinearMap, blocks, shift) -> LinearMap:
+    """The certified derivation of a split-null extension A + A*eps whose
+    matrix holds the base map's in each (row, column) block of `blocks`
+    (0: A, 1: A*eps), plus `shift` (None: the stored one) on the eps block."""
+    meta = ext.meta
+    if not isinstance(meta, SplitNullMeta):
         raise BadParameters("table does not carry split-null metadata")
-    return table.meta
-
-
-def _check_base_map(ext: AlgebraTable, base_map: LinearMap, base_dim: int):
-    if base_map.algebra.field != ext.field:
-        raise FieldMismatch("base map field differs from the extension field")
-    if base_map.algebra.dim != base_dim:
-        raise BadParameters("base map dimension differs from the base algebra")
-
-
-def extend_derivation_diagonal(
-    ext: AlgebraTable,
-    base_map: LinearMap,
-    shift=None,
-) -> LinearMap:
-    """The derivation a + b*eps -> d(a) + (d(b) + shift*b)*eps of a
-    split-null extension; the shift defaults to the one stored when the
-    extension was built."""
-    meta = _split_meta(ext)
-    _check_base_map(ext, base_map, meta.base_dim)
     f = ext.field
     n = meta.base_dim
+    if base_map.algebra.field != f:
+        raise FieldMismatch("base map field differs from the extension field")
+    if base_map.algebra.dim != n:
+        raise BadParameters("base map dimension differs from the base algebra")
     lam = meta.shift if shift is None else f.coerce(shift)
-    zero = f.zero()
-    rows = [[zero] * (2 * n) for _ in range(2 * n)]
-    base_rows = base_map.matrix.rows
-    for r in range(n):
-        for c in range(n):
-            rows[r][c] = base_rows[r][c]
-            rows[n + r][n + c] = base_rows[r][c]
+    rows = [[f.zero()] * (2 * n) for _ in range(2 * n)]
+    for rb, cb in blocks:
+        for r, base_row in enumerate(base_map.matrix.rows):
+            rows[rb * n + r][cb * n : (cb + 1) * n] = base_row
     if lam:
-        for c in range(n):
-            rows[n + c][n + c] = f.add(rows[n + c][n + c], lam)
+        for c in range(n, 2 * n):
+            rows[c][c] = f.add(rows[c][c], lam)
     dmap = LinearMap(ext, Matrix._wrap(f, rows))
     certify(is_derivation(ext, dmap), "extended map must satisfy Leibniz")
     return dmap
+
+
+def extend_derivation_diagonal(ext: AlgebraTable, base_map: LinearMap, shift=None) -> LinearMap:
+    """The derivation a + b*eps -> d(a) + (d(b) + shift*b)*eps of a
+    split-null extension; the shift defaults to the one stored when the
+    extension was built."""
+    return _extension_map(ext, base_map, ((0, 0), (1, 1)), shift)
 
 
 def extend_derivation_eps(ext: AlgebraTable, base_map: LinearMap) -> LinearMap:
     """The derivation a + b*eps -> d(a)*eps of a split-null extension;
     its kernel swallows the whole radical, so the largest kernel ideal
     is the radical and the quotient returns the base algebra."""
-    meta = _split_meta(ext)
-    _check_base_map(ext, base_map, meta.base_dim)
-    f = ext.field
-    n = meta.base_dim
-    zero = f.zero()
-    rows = [[zero] * (2 * n) for _ in range(2 * n)]
-    base_rows = base_map.matrix.rows
-    for r in range(n):
-        for c in range(n):
-            rows[n + r][c] = base_rows[r][c]
-    dmap = LinearMap(ext, Matrix._wrap(f, rows))
-    certify(is_derivation(ext, dmap), "extended map must satisfy Leibniz")
-    return dmap
+    return _extension_map(ext, base_map, ((1, 0),), 0)
 
 
 def enumerate_ideals(

@@ -743,11 +743,11 @@ class Subspace:
 
     __slots__ = ("field", "ambient", "basis", "pivots")
 
-    def __init__(self, field: Field, ambient: int, vectors: Iterable[Iterable], canonical: bool = False):
+    def __init__(self, field: Field, ambient: int, vectors: Iterable[Iterable]):
         rows = [[field.coerce(x) for x in v] for v in vectors]
         if any(len(row) != ambient for row in rows):
             raise AmbientMismatch("vector length differs from ambient dimension")
-        self._set(field, ambient, rows, canonical)
+        self._set(field, ambient, rows, False)
 
     def _set(self, field: Field, ambient: int, rows: Sequence[Sequence[RawScalar]], canonical: bool):
         if rows and not canonical:

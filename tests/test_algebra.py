@@ -24,7 +24,7 @@ from jordanalg.algebra import (
     quotient_algebra,
     split_null_extension,
 )
-from jordanalg.constructions import albert_type, diagonal_spin_factor, matrix_algebra, plus_algebra
+from jordanalg.constructions import albert_type, cayley_dickson, diagonal_spin_factor, matrix_algebra, plus_algebra
 from jordanalg.errors import (
     AlgebraMismatch,
     BadParameters,
@@ -138,6 +138,65 @@ def test_find_unit():
 def m2_table_without_declared_unit(field):
     base = m2_table(field)
     return AlgebraTable(field, 4, {(i, j, k): v for i, j, k, v in base.sc_items()})
+
+
+def _unit_from_structure_loops(table):
+    """`_solve_for_unit` with its equations gathered from the structure
+    rows: (j, k) of u b_j = b_j, then (i, k) of b_i u = b_i, each distinct
+    (row, rhs) kept once."""
+    f, n = table.field, table.dim
+    zero = f.zero()
+    left, right = {}, {}
+    for (i, j), pairs in table._rows.items():
+        for k, v in pairs:
+            left.setdefault((j, k), [zero] * n)[i] = v
+            right.setdefault((i, k), [zero] * n)[j] = v
+    rows, seen = [], set()
+    for eqs in (left, right):
+        for j, k in itertools.product(range(n), repeat=2):
+            row = eqs.get((j, k), [zero] * n)
+            rhs = f.one() if j == k else zero
+            if tuple(row) + (rhs,) not in seen:
+                seen.add(tuple(row) + (rhs,))
+                rows.append((list(row), rhs))
+    sol = linalg.solve_raw(f, [r for r, _ in rows], [b for _, b in rows])
+    return None if sol is None else tuple(sol)
+
+
+def _unit_stripped(table):
+    return AlgebraTable._wrap(table.field, table.dim, {(i, j, k): v for i, j, k, v in table.sc_items()})
+
+
+def test_unit_finding_matches_the_structure_loops():
+    f3, f5 = prime_field(3), prime_field(5)
+    rng = random.Random("unit-finding")
+    tables = [
+        albert_type(f5, [-1, -1, -1], [1, 1, 1]),
+        albert_type(RATIONALS, [-1, -1, -1], [1, 2, 1]),
+        cayley_dickson(RATIONALS, [-1, -1, -1])[0],
+        matrix_algebra(cayley_dickson(f3, [2])[0], 2),
+        diagonal_spin_factor(f5, [1, 2, 0]),
+        m2_table(RATIONALS),
+        # e_0 is a left unit only, then a right unit only
+        AlgebraTable(f5, 2, {(0, 0, 0): 1, (0, 1, 1): 1}),
+        AlgebraTable(f5, 2, {(0, 0, 0): 1, (1, 0, 1): 1}),
+    ]
+    for trial in range(30):
+        n = 2 + trial % 4
+        if trial % 2:
+            tables.append(_random_unital_table((f3, f5)[trial % 4 // 2], n, rng))
+        else:
+            cells = [key for key in itertools.product(range(n), repeat=3) if rng.random() < 0.3]
+            tables.append(AlgebraTable((f3, f5, RATIONALS)[trial % 3], n, {key: rng.randrange(1, 4) for key in cells}))
+    found = [0, 0]
+    for table in tables:
+        stripped = _unit_stripped(table)
+        unit = algebra._solve_for_unit(stripped)
+        assert unit == _unit_from_structure_loops(stripped)
+        if table.unit is not None:
+            assert unit == table.unit
+        found[unit is None] += 1
+    assert min(found) >= 5
 
 
 def test_identity_checks_on_matrix_algebra():

@@ -46,6 +46,7 @@ from jordanalg.errors import (
     CapExceeded,
     CertificationError,
     CriterionNotSatisfied,
+    FieldMismatch,
     NotADerivation,
     NotAlbertType,
     NotAssociative,
@@ -54,7 +55,16 @@ from jordanalg.errors import (
 )
 from jordanalg.fields import Field, is_prime, prime_field
 from jordanalg.jordan import jordan_inverse, spin_norm
-from jordanalg.linalg import Matrix, Subspace, diagonalize_symmetric_form, dot_raw, solve_raw
+from jordanalg.linalg import (
+    Matrix,
+    Subspace,
+    _identity_raw,
+    combine_raw,
+    diagonalize_symmetric_form,
+    dot_raw,
+    rref_raw,
+    solve_raw,
+)
 
 F3 = prime_field(3)
 F5 = prime_field(5)
@@ -395,6 +405,108 @@ def test_rational_generic_table_reports_cap_exceeded():
     assert report.method == "cap_exceeded"
 
 
+def _ordered_pair_spin_norm_verdict(table, dmap, kernel, image, height_bound, point_cap):
+    """`_spin_norm_verdict` with the binary form over GF(p) as its own
+    branch and the rational square ratios tested over all ordered pairs
+    i != j, after the definiteness test."""
+    f = table.field
+    m = image.dim
+    DivReport, witnessed = derivations.DivReport, derivations._witnessed_not_div
+    pmat, dmat = diagonalize_symmetric_form(derivations._gram_restricted_to(table, image))
+    diag = [dmat.rows[t][t] for t in range(m)]
+    cols = [[pmat.rows[r][t] for r in range(m)] for t in range(m)]
+
+    def ambient_value(inner_coeffs):
+        return combine_raw(f, inner_coeffs, image.basis)
+
+    for t in range(m):
+        if not diag[t]:
+            return witnessed(table, dmap, kernel, image, ambient_value(cols[t]), "spin_norm",
+                             "restricted norm form is degenerate")
+    if m == 1:
+        return DivReport(dmap, True, kernel, image, "div", None, "spin_norm")
+    if not f.is_rational:
+        if m == 2:
+            ratio = f.neg(f.div(diag[1], diag[0]))
+            if not f.is_square_raw(ratio):
+                return DivReport(dmap, True, kernel, image, "div", None, "spin_norm")
+            coeffs = combine_raw(f, (f.sqrt_raw(ratio), 1), cols[:2])
+            return witnessed(table, dmap, kernel, image, ambient_value(coeffs), "spin_norm")
+        for s in range(f.p):
+            rhs = f.div(f.sub(f.neg(diag[2]), f.mul(diag[0], f.mul(s, s))), diag[1])
+            if f.is_square_raw(rhs):
+                coeffs = combine_raw(f, (s, f.sqrt_raw(rhs), 1), cols[:3])
+                return witnessed(table, dmap, kernel, image, ambient_value(coeffs), "spin_norm")
+        raise CertificationError("ternary form over a prime field must be isotropic")
+    if all(d > 0 for d in diag) or all(d < 0 for d in diag):
+        return DivReport(dmap, True, kernel, image, "div", None, "spin_norm", "restricted norm form is definite")
+    for i in range(m):
+        for j in range(m):
+            if i == j or diag[i] == 0 or diag[j] == 0:
+                continue
+            ratio = -diag[j] / diag[i]
+            if ratio > 0 and f.is_square_raw(ratio):
+                coeffs = combine_raw(f, (f.sqrt_raw(ratio), 1), (cols[i], cols[j]))
+                return witnessed(table, dmap, kernel, image, ambient_value(coeffs), "spin_norm")
+    budget = point_cap
+    for height in range(1, height_bound + 1):
+        for coeffs in itertools.product(range(-height, height + 1), repeat=m):
+            if budget <= 0:
+                break
+            budget -= 1
+            if not any(coeffs) or max(abs(x) for x in coeffs) != height:
+                continue
+            value = ambient_value(coeffs)
+            if any(value) and not spin_norm(table.element(value)):
+                return witnessed(table, dmap, kernel, image, value, "spin_norm")
+        if budget <= 0:
+            break
+    return DivReport(
+        dmap, True, kernel, image, "unknown", None, "spin_norm",
+        f"no isotropic value of height <= {height_bound} found; "
+        "anisotropy over the rationals left undecided",
+    )
+
+
+def _spin_report_tables():
+    """Diagonal spin factors of dim V 2-4 over GF(3/5/7/11/2^31-1), one
+    with a zero entry, and indefinite, definite and degenerate ones over Q
+    of dim V 2-3, each with its derivation basis and seeded combinations."""
+    rng = random.Random("spin-reports")
+    forms = [(prime_field(p), diag) for p in (3, 5, 7, 11, 2**31 - 1)
+             for diag in ([1, 1], [1, 2], [1, 1, 1], [1, 2, 3], [0, 1, 2], [1, 1, 1, 1], [1, 2, 1, 3])]
+    forms += [(Q, diag) for diag in ([1, 1], [1, -1], [1, -2], [1, 2, -3], [1, -1, 1], [1, 2, 5], [0, 1, -1], [-1, -3])]
+    for field, diag in forms:
+        table = diagonal_spin_factor(field, diag)
+        space = derivation_space(table)
+        yield table, list(space.basis) + [sample_derivation(space, rng) for _ in range(6)]
+
+
+def test_spin_norm_rung_matches_the_ordered_pair_loop(monkeypatch):
+    """Verdict, method, note, witness and image of every report, at a point
+    cap that reaches the spin_norm rung and at the default cap."""
+    def report_fields(table, dmap, point_cap):
+        report = has_invertible_values(table, dmap, point_cap=point_cap, height_bound=4)
+        witness = None if report.witness is None else report.witness.coords
+        return report.verdict, report.method, report.note, witness, report.image.basis
+
+    methods = set()
+    for table, maps in _spin_report_tables():
+        for dmap in maps:
+            for point_cap in (1, 10**6):
+                with monkeypatch.context() as patch:
+                    patch.setattr(derivations, "_spin_norm_verdict", _ordered_pair_spin_norm_verdict)
+                    expected = report_fields(table, dmap, point_cap)
+                assert report_fields(table, dmap, point_cap) == expected, (table.field, table.meta.gram.rows)
+                methods.add(expected[:2] + (table.field.is_rational, dmap.image().dim))
+    # the rungs the rewrite touched: binary forms over GF(p), three or more
+    # variables over GF(p), square ratios, definite and undecided forms over Q
+    for method in [("div", "spin_norm", False, 2), ("not_div", "spin_norm", False, 2),
+                   ("not_div", "spin_norm", False, 4), ("not_div", "spin_norm", True, 2),
+                   ("div", "spin_norm", True, 2), ("unknown", "spin_norm", True, 2)]:
+        assert method in methods
+
+
 # ---------------------------------------------------------------------------
 # spin_div_criterion
 
@@ -618,6 +730,74 @@ def test_construction_matches_the_solve_per_basis_vector():
         assert dmap.matrix.rows == _reference_construction(table, *pair), gram.rows
         found += 1
     assert found > 50
+
+
+def _inverse_basis_construction(table, x, y):
+    """`construct_spin_div`'s matrix rows from [B | I], B with columns x, y
+    and the nullspace basis of their orthogonal complement: the right half
+    of its reduced form is B^-1, and D(e_c) = a y - (f(y,y)/f(x,x)) b x for
+    the coordinates a, b of e_c on x, y in column c of B^-1."""
+    f, gram = table.field, table.meta.gram
+    nv = gram.nrows
+    x, y = tuple(map(f.coerce, x)), tuple(map(f.coerce, y))
+    gx, gy = gram.apply(x), gram.apply(y)
+    ortho = Matrix._wrap(f, [gx, gy]).nullspace()
+    red, _, piv = rref_raw(f, [[*b, *e] for b, e in zip(zip(x, y, *ortho.basis), _identity_raw(f, nv))])
+    assert piv == list(range(nv))
+    minus_lam = f.neg(f.div(dot_raw(f, y, gy), dot_raw(f, x, gx)))
+    rows = [[f.zero()] * (nv + 1) for _ in range(nv + 1)]
+    for c in range(nv):
+        img = combine_raw(f, (red[0][nv + c], f.mul(minus_lam, red[1][nv + c])), (y, x))
+        for r in range(nv):
+            rows[1 + r][1 + c] = img[r]
+    return tuple(map(tuple, rows))
+
+
+def _criterion_pair_forms():
+    """Every diagonal GF(3) form of dim V 2-4 and GF(5), GF(7) form of
+    dim V 2-3, seeded symmetric GF(3/5/7) forms of dim V 2-4 (some with a
+    zero row, so degenerate), and Q forms of dim V 2-3."""
+    for p, top in ((3, 4), (5, 3), (7, 3)):
+        for nv in range(2, top + 1):
+            for diag in itertools.product(range(p), repeat=nv):
+                yield Matrix(prime_field(p), [[d if r == c else 0 for c in range(nv)] for r, d in enumerate(diag)])
+    rng = random.Random("criterion-pair-forms")
+    for p, nv in itertools.product((3, 5, 7), (2, 3, 4)):
+        for trial in range(12):
+            rows = [[0] * nv for _ in range(nv)]
+            for r, c in itertools.combinations_with_replacement(range(trial % 3 == 0, nv), 2):
+                rows[r][c] = rows[c][r] = rng.randrange(p)
+            yield Matrix(prime_field(p), rows)
+    for rows in ([[1, 0], [0, 1]], [[1, 0], [0, -1]], [[2, 1], [1, 3]], [[0, 0], [0, 1]], [[1, 1], [1, 1]],
+                 [[Fraction(1, 2), 0], [0, 5]], [[1, 0, 0], [0, 1, 0], [0, 0, 3]], [[1, 2, 0], [2, -1, 1], [0, 1, 2]],
+                 [[0, 0, 0], [0, 1, 0], [0, 0, 2]], [[1, 1, 0], [1, 1, 0], [0, 0, -3]]):
+        yield Matrix(Q, rows)
+
+
+def test_construction_matches_the_inverse_basis_on_every_criterion_pair():
+    """The closed form against [B | I] on the criterion's pair and on every
+    ordered pair of diagonalizing vectors that meets the criterion."""
+    kinds, count = set(), 0
+    for gram in _criterion_pair_forms():
+        f, nv = gram.field, gram.nrows
+        pmat, dmat = diagonalize_symmetric_form(gram)
+        diag = [dmat.rows[t][t] for t in range(nv)]
+        cols = [tuple(pmat.rows[r][t] for r in range(nv)) for t in range(nv)]
+        pairs = [(cols[i], cols[j]) for i, j in itertools.permutations(range(nv), 2)
+                 if diag[i] and diag[j] and not f.is_square_raw(f.neg(f.div(diag[j], diag[i])))]
+        pair = spin_div_criterion(gram, point_cap=10**4)
+        table = spin_factor(gram)
+        for x, y in pairs + ([] if pair is None else [pair]):
+            # point_cap=0 skips the exhaustive certificate of invertible values
+            dmap = construct_spin_div(table, x, y, point_cap=0)
+            assert dmap.matrix.rows == _inverse_basis_construction(table, x, y), (gram.rows, x, y)
+            fxx, fyy = (dot_raw(f, v, gram.apply(v)) for v in (x, y))
+            kinds.add((f.p, all(diag), fxx == fyy))
+            count += 1
+    assert count > 2000
+    # f(x,x) != f(y,y) on nondegenerate and degenerate forms over GF(5),
+    # GF(7) and Q; over GF(3) the criterion forces f(x,x) = f(y,y)
+    assert {(p, nondegenerate, False) for p in (5, 7, None) for nondegenerate in (True, False)} <= kinds
 
 
 # ---------------------------------------------------------------------------
@@ -872,6 +1052,73 @@ def test_diagonal_extension_uses_stored_shift(spin3, spin3_div):
 def test_extension_helpers_reject_plain_tables(spin3, spin3_div):
     with pytest.raises(BadParameters):
         extend_derivation_eps(spin3, spin3_div)
+
+
+def _checked_split_ext(ext, base_map):
+    if not isinstance(ext.meta, algebra.SplitNullMeta):
+        raise BadParameters("table does not carry split-null metadata")
+    if base_map.algebra.field != ext.field:
+        raise FieldMismatch("base map field differs from the extension field")
+    if base_map.algebra.dim != ext.meta.base_dim:
+        raise BadParameters("base map dimension differs from the base algebra")
+    return ext.field, ext.meta.base_dim
+
+
+def _blockwise_diagonal_extension(ext, base_map, shift=None):
+    """`extend_derivation_diagonal`'s matrix rows, entry by entry."""
+    f, n = _checked_split_ext(ext, base_map)
+    lam = ext.meta.shift if shift is None else f.coerce(shift)
+    rows = [[f.zero()] * (2 * n) for _ in range(2 * n)]
+    for r in range(n):
+        for c in range(n):
+            rows[r][c] = rows[n + r][n + c] = base_map.matrix.rows[r][c]
+    if lam:
+        for c in range(n):
+            rows[n + c][n + c] = f.add(rows[n + c][n + c], lam)
+    return tuple(map(tuple, rows))
+
+
+def _blockwise_eps_extension(ext, base_map):
+    """`extend_derivation_eps`'s matrix rows, entry by entry."""
+    f, n = _checked_split_ext(ext, base_map)
+    rows = [[f.zero()] * (2 * n) for _ in range(2 * n)]
+    for r in range(n):
+        for c in range(n):
+            rows[n + r][c] = base_map.matrix.rows[r][c]
+    return tuple(map(tuple, rows))
+
+
+def test_extension_maps_match_the_blockwise_loops(spin3, m2_gf3):
+    rng = random.Random("extension-maps")
+    for base in (spin3, diagonal_spin_factor(F5, [1, 2]), m2_gf3, diagonal_spin_factor(Q, [1, -1])):
+        space = derivation_space(base)
+        maps = list(space.basis) + [sample_derivation(space, rng) for _ in range(3)]
+        for stored in (0, 1):
+            ext, _ = split_null_extension(base, shift=stored)
+            for dmap in maps:
+                assert extend_derivation_eps(ext, dmap).matrix.rows == _blockwise_eps_extension(ext, dmap)
+                for shift in (None, 0, 2):
+                    expected = _blockwise_diagonal_extension(ext, dmap, shift)
+                    assert extend_derivation_diagonal(ext, dmap, shift).matrix.rows == expected
+
+
+def test_extension_maps_raise_the_blockwise_errors_in_order(spin3, m2_gf3):
+    ext, _ = split_null_extension(spin3)
+    spin5_map = derivation_space(diagonal_spin_factor(F5, [1, 1, 1])).basis[0]
+    m2_map = LinearMap.zero(m2_gf3)
+    cases = [
+        (spin3, spin5_map, BadParameters, "split-null metadata"),  # before the field test
+        (ext, spin5_map, FieldMismatch, "field"),  # before the dimension test
+        (ext, m2_map, BadParameters, "dimension"),
+    ]
+    for table, base_map, error, words in cases:
+        for build, reference in ((extend_derivation_eps, _blockwise_eps_extension),
+                                 (extend_derivation_diagonal, _blockwise_diagonal_extension)):
+            with pytest.raises(error, match=words) as raised:
+                build(table, base_map)
+            with pytest.raises(error) as expected:
+                reference(table, base_map)
+            assert str(raised.value) == str(expected.value)
 
 
 # ---------------------------------------------------------------------------

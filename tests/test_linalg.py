@@ -156,6 +156,14 @@ def test_subspace_canonical_equality():
     assert u != Subspace(f, 3, [[1, 0, 0]])
 
 
+def test_subspace_always_reduces_outside_vectors():
+    # equality compares stored bases, so no caller may skip the reduction
+    f = prime_field(5)
+    with pytest.raises(TypeError):
+        Subspace(f, 3, [[1, 3, 1], [0, 2, 2]], canonical=True)
+    assert Subspace(f, 3, [[1, 3, 1], [0, 2, 2]]).basis == ((1, 0, 3), (0, 1, 1))
+
+
 def test_subspace_dimension_formula():
     rng = random.Random(7004)
     f = prime_field(5)
