@@ -436,15 +436,15 @@ class LinearMap:
 
 def _solve_for_unit(table: AlgebraTable) -> tuple | None:
     """The u with R_{b_j} u = b_j and L_{b_j} u = b_j for every j, each
-    distinct (row, rhs) equation kept once, or None."""
-    f = table.field
-    eqs = dict.fromkeys(
-        (tuple(row), b[k])
-        for side in ("right", "left")
-        for b in _identity_raw(f, table.dim)
-        for k, row in enumerate(table.mult_operator(b, side))
-    )
-    sol = solve_raw(f, [row for row, _ in eqs], [rhs for _, rhs in eqs])
+    distinct (row, rhs) equation kept once, or None.  Row k of R_{b_j} is
+    C[:, j, k] and of L_{b_j} C[j, :, k], read off the integer tensor,
+    whose scale goes on the right-hand side."""
+    c, scale = table.structure_int_tensor()
+    n = table.dim
+    rows = np.concatenate((c.transpose(1, 2, 0), c.transpose(0, 2, 1))).reshape(2 * n * n, n).tolist()
+    rhs = [scale if j == k else 0 for _ in range(2) for j in range(n) for k in range(n)]
+    eqs = dict.fromkeys(zip(map(tuple, rows), rhs))
+    sol = solve_raw(table.field, [row for row, _ in eqs], [b for _, b in eqs])
     return None if sol is None else tuple(sol)
 
 

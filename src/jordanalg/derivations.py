@@ -17,6 +17,7 @@ import heapq
 import itertools
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cache, cached_property
 from itertools import chain
 
@@ -63,6 +64,7 @@ from .linalg import (
     Matrix,
     Subspace,
     _column_spaces,
+    _exact_matmul,
     _first_anisotropic_pair,
     _identity_raw,
     _int_image,
@@ -142,13 +144,23 @@ class DerivationSpace:
     def _flat_basis(self) -> list[tuple]:
         return [tuple(chain.from_iterable(m.matrix.rows)) for m in self.basis]
 
+    @cached_property
+    def _int_basis(self) -> tuple[np.ndarray, int]:
+        """`linalg._int_image` of the flat basis, one row per map, and its scale."""
+        ints, scale = _int_image(self.algebra.field, self._flat_basis)
+        return ints.reshape(self.dim, self.algebra.dim**2), scale
+
     def combination(self, coeffs) -> LinearMap:
-        """The derivation with the given coordinates on the basis."""
+        """The derivation with the given coordinates on the basis, as one exact product."""
         if len(coeffs) != len(self.basis):
             raise BadParameters("need one coefficient per basis map")
         f = self.algebra.field
         n = self.algebra.dim
-        flat = combine_raw(f, [f.coerce(c) for c in coeffs], self._flat_basis) or [f.zero()] * (n * n)
+        basis, scale = self._int_basis
+        ints, coeff_scale = _int_image(f, [[f.coerce(c) for c in coeffs]])
+        flat = _exact_matmul(ints, basis, f.p)[0].tolist()
+        if not f.p:
+            flat = [Fraction(v, scale * coeff_scale) for v in flat]
         return LinearMap(self.algebra, Matrix._wrap(f, [flat[r * n : (r + 1) * n] for r in range(n)]))
 
 
@@ -227,14 +239,16 @@ def derivation_space(table: AlgebraTable) -> DerivationSpace:
         LinearMap(table, Matrix._wrap(f, [null_row[r * n : (r + 1) * n] for r in range(n)]))
         for null_row in basis
     ]
+    space = DerivationSpace(table, tuple(maps))
     step = max(1, _DEFECT_CELLS // n**3)
     for lo in range(0, len(maps), step):
         if not _leibniz_holds(table, maps[lo : lo + step]):
             raise CertificationError("nullspace row fails the Leibniz rule")
     unit = table.unit_coords()
-    if unit is not None and any(dot_raw(f, row, unit) for m in maps for row in m.matrix.rows):
-        raise CertificationError("derivation must kill the unit")
-    space = DerivationSpace(table, tuple(maps))
+    if unit is not None:  # D(1) = 0, where row s*n + k of the stack is row k of map s
+        stacked = space._int_basis[0].reshape(space.dim * n, n)
+        if _exact_matmul(stacked, _int_image(f, [unit])[0].T, f.p).any():
+            raise CertificationError("derivation must kill the unit")
     table._cache["derivation_space"] = space
     return space
 
@@ -750,7 +764,7 @@ def div_search(
     # the keys (lead 1) come in lexicographic order, and each is where a
     # lexicographic walk of all p^d tuples first meets its class
     keys, walk = itertools.tee(_projective_points(f, Subspace.full(f, space.dim), trailing_first=True))
-    maps = _int_image(f, space._flat_basis)[0].reshape(space.dim, table.dim, table.dim)
+    maps = space._int_basis[0].reshape(space.dim, table.dim, table.dim)
     images = _column_spaces(f, keys, maps, max(1, _CLOSURE_CELLS // table.dim**2))
     hits = []
     members: list[tuple] = []  # heap of the members c*key, c = 2..p-1, of classes that passed

@@ -2,9 +2,10 @@
 
 Everything here is exact.  Row reduction has two kernels:
 
-* `_rref_mod_py`, on Python lists: Fractions over Q (``p=None``) or
-  Python ints over GF(p).  It serves every rational system and every
-  GF(p) system of at most `_NP_THRESHOLD` cells.
+* `_rref_mod_py`, on Python lists of ints: residues over GF(p), or over
+  Q (``p=None``) the integer image of each row, eliminated fraction free
+  and divided by its pivot only at the end.  It serves every rational
+  system and every GF(p) system of at most `_NP_THRESHOLD` cells.
 * `_rref_mod_np`, on numpy arrays over GF(p), for every prime.
 
 `_rref_batch` reduces a stack of small GF(p) matrices at once, column
@@ -197,9 +198,13 @@ def _is_zero_mod(a: np.ndarray, p: int | None) -> bool:
 
 def _rref_mod_py(rows: list[list], p: int | None) -> tuple[list[list], int, list[int]]:
     """In-place reduced row echelon form on Python lists: over GF(p) on
-    Python ints, or over Q on Fractions when p is None."""
+    Python ints, over Q (p None) fraction free on int or Fraction rows."""
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
+    if not p:
+        for i, row in enumerate(rows):
+            scale = math.lcm(*(v.denominator for v in row))
+            rows[i] = [v.numerator * (scale // v.denominator) for v in row]
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
@@ -212,9 +217,9 @@ def _rref_mod_py(rows: list[list], p: int | None) -> tuple[list[list], int, list
             continue
         if pivot_row != r:
             rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = pow(rows[r][c], p - 2, p) if p else 1 / rows[r][c]
-        if inv != 1:
-            rows[r] = [x * inv % p for x in rows[r]] if p else [x * inv for x in rows[r]]
+        pv = rows[r][c]
+        if p and (inv := pow(pv, p - 2, p)) != 1:
+            rows[r] = [x * inv % p for x in rows[r]]
         for i in range(nrows):
             if i != r:
                 f = rows[i][c] % p if p else rows[i][c]
@@ -222,12 +227,18 @@ def _rref_mod_py(rows: list[list], p: int | None) -> tuple[list[list], int, list
                     row_i, row_r = rows[i], rows[r]
                     if p:
                         rows[i] = [(a - f * b) % p for a, b in zip(row_i, row_r)]
-                    else:
-                        rows[i] = [a - f * b for a, b in zip(row_i, row_r)]
+                    else:  # a rational multiple of row_i - (f / pv) * row_r
+                        row = [pv * a - f * b for a, b in zip(row_i, row_r)]
+                        g = math.gcd(*row)
+                        rows[i] = [x // g for x in row] if g > 1 else row
         pivots.append(c)
         r += 1
         if r == nrows:
             break
+    if not p:  # rows past the rank are zero
+        zero = Fraction(0)
+        rows[:] = [[Fraction(x, row[c]) if x else zero for x in row] for row, c in zip(rows, pivots)]
+        rows += [[zero] * ncols for _ in range(r, nrows)]
     return rows, len(pivots), pivots
 
 

@@ -1342,3 +1342,99 @@ def test_leibniz_products_are_reduced_before_the_sum_at_the_float64_bound(monkey
             rows[r][c] = field.add(rows[r][c], field.coerce(rng.randrange(1, field.p)))
             assert not is_derivation(table, LinearMap(table, Matrix(field, rows)))
         assert 0 < max(defects) < 3 * field.p
+
+
+# ---------------------------------------------------------------------------
+# derivation combinations as one exact product
+
+
+def _combine_raw_combination(space, coeffs):
+    """`DerivationSpace.combination` as it was before it became one exact
+    product: `combine_raw` over the flat basis."""
+    f = space.algebra.field
+    n = space.algebra.dim
+    flat = combine_raw(f, [f.coerce(c) for c in coeffs], space._flat_basis) or [f.zero()] * (n * n)
+    return LinearMap(space.algebra, Matrix._wrap(f, [flat[r * n : (r + 1) * n] for r in range(n)]))
+
+
+F_MERSENNE = prime_field(2**61 - 1)
+
+COMBINATION_TABLES = {
+    "spin-gf3": lambda: diagonal_spin_factor(F3, [1, 2, 0]),
+    "m2-gf7": lambda: matrix_algebra(scalar_algebra(F7), 2),
+    "spin-gf2^61-1": lambda: diagonal_spin_factor(F_MERSENNE, [1, 2, 3]),
+    "spin-q": lambda: diagonal_spin_factor(Q, [1, Fraction(1, 2), -3]),
+    "quaternions-q": lambda: cayley_dickson(Q, [-1, Fraction(-2, 3)])[0],
+    "scalar-gf3": lambda: scalar_algebra(F3),
+    "scalar-q": lambda: scalar_algebra(Q),
+}
+
+
+def _coefficient_sets(field, dim, rng):
+    p = field.p
+    sets = [[0] * dim] + [[int(i == j) for j in range(dim)] for i in range(dim)]
+    for _ in range(12):
+        entries = [0, 1, -1, 2, 3**70, -(3**70) + 1, Fraction(1, 2), Fraction(-5, 4), Fraction(3**70, 7)]
+        if p:
+            entries = [c for c in entries if not isinstance(c, Fraction) or c.denominator % p]
+        sets.append([rng.choice(entries) for _ in range(dim)])
+    return sets
+
+
+@pytest.mark.parametrize("name", sorted(COMBINATION_TABLES))
+def test_combination_matches_combine_raw(name):
+    """Equal maps with entries of equal types, over GF(3), GF(7),
+    GF(2^61 - 1) and Q, for int, Fraction and zero coefficients, and on
+    an empty basis."""
+    table = COMBINATION_TABLES[name]()
+    space = derivation_space(table)
+    assert (space.dim == 0) == name.startswith("scalar")
+    rng = random.Random(f"combination-{name}")
+    for coeffs in _coefficient_sets(table.field, space.dim, rng):
+        got = space.combination(coeffs).matrix.rows
+        expected = _combine_raw_combination(space, coeffs).matrix.rows
+        assert got == expected
+        assert [type(x) for row in got for x in row] == [type(x) for row in expected for x in row]
+
+
+def test_int_image_of_the_flat_basis_is_taken_once_per_space(monkeypatch):
+    """Through the unit certificate, combinations and `div_search`."""
+    seen = []
+    real = derivations._int_image
+    monkeypatch.setattr(derivations, "_int_image", lambda f, rows: seen.append(rows) or real(f, rows))
+    tables = [
+        diagonal_spin_factor(F3, [0, 1, 1]),
+        diagonal_spin_factor(Q, [1, 1, 2]),
+        AlgebraTable(F5, 2, {(0, 0, 0): 1}),  # no unit, so no unit certificate
+    ]
+    for table in tables:
+        seen.clear()
+        space = derivation_space(table)
+        assert space.dim
+        for seed in range(3):
+            sample_derivation(space, random.Random(seed))
+        if table.unit_coords() is not None and not table.field.is_rational:
+            assert div_search(table)
+        assert derivation_space(table) is space
+        assert sum(rows is space._flat_basis for rows in seen) == 1
+
+
+@pytest.mark.parametrize("field", [F5, Q], ids=str)
+def test_basis_map_that_moves_the_unit_fails_the_unit_certificate(monkeypatch, field):
+    """A basis row with D(1) = e_last, let through a patched Leibniz check,
+    is refused after every Leibniz chunk has run."""
+    table = diagonal_spin_factor(field, [1, 1, 1])
+    n, dim = table.dim, derivation_space(diagonal_spin_factor(field, [1, 1, 1])).dim
+    assert table.unit_coords() == tuple(field.coerce(int(i == 0)) for i in range(n))
+    real = derivations._nullspace_mod_staged
+    moves_unit = [field.coerce(int(r == n - 1 and c == 0)) for r in range(n) for c in range(n)]
+    monkeypatch.setattr(
+        derivations, "_nullspace_mod_staged",
+        lambda m, p, chunk=3000: np.array(real(m, p, chunk).tolist() + [moves_unit], dtype=object),
+    )
+    chunks = []
+    monkeypatch.setattr(derivations, "_leibniz_holds", lambda t, maps: chunks.append(maps) or True)
+    with pytest.raises(CertificationError, match="derivation must kill the unit"):
+        derivation_space(table)
+    assert sum(map(len, chunks)) == dim + 1
+    assert "derivation_space" not in table._cache

@@ -1,7 +1,9 @@
 """The two row-reduction kernels and the dispatch around them.
 
-`_rref_mod_py` works on Python lists (Fractions over Q, ints over
-GF(p)); `_rref_mod_np` works on numpy arrays over every GF(p), in int64
+`_rref_mod_py` works on Python lists (integer rows over Q, eliminated
+fraction free and returned as Fractions; ints over GF(p)); the Fraction
+elimination it replaced over Q is kept here as its reference.
+`_rref_mod_np` works on numpy arrays over every GF(p), in int64
 below 2^31 and in object dtype from there on.  These tests compare the
 kernels with each other and with sympy, pin the derivation maps the
 numpy kernel produces, and check the exact fallbacks and self-checks
@@ -52,6 +54,7 @@ from jordanalg.linalg import (
     nullspace_int_crt,
     nullspace_raw,
     rref_raw,
+    solve_raw,
 )
 
 # primes whose residues take the object-dtype path of the numpy kernel
@@ -731,3 +734,143 @@ def test_corrupted_derivation_basis_fails_certification_under_python_O():
     assert result.stdout == (
         "optimize 1\nCertificationError: nullspace row fails the Leibniz rule\n"
     )
+
+
+# ---------------------------------------------------------------------------
+# the fraction-free rational kernel against the Fraction kernel it replaced
+
+
+def _fraction_rref_reference(rows, p):
+    """`_rref_mod_py` as it was before rational rows were reduced on
+    integers: over Q every entry is a Fraction and each operation on it
+    reduces by its own gcd."""
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = None
+        for i in range(r, nrows):
+            if rows[i][c] % p if p else rows[i][c]:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        if pivot_row != r:
+            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = pow(rows[r][c], p - 2, p) if p else 1 / rows[r][c]
+        if inv != 1:
+            rows[r] = [x * inv % p for x in rows[r]] if p else [x * inv for x in rows[r]]
+        for i in range(nrows):
+            if i != r:
+                f = rows[i][c] % p if p else rows[i][c]
+                if f:
+                    row_i, row_r = rows[i], rows[r]
+                    if p:
+                        rows[i] = [(a - f * b) % p for a, b in zip(row_i, row_r)]
+                    else:
+                        rows[i] = [a - f * b for a, b in zip(row_i, row_r)]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return rows, len(pivots), pivots
+
+
+BIG = 3**200  # far past 2^63
+
+
+@st.composite
+def rational_systems(draw):
+    """Rows over Q of up to 7 x 7, tall, wide or square, spanned by a few
+    random rows (some repeated, some zero), with zero columns, entries
+    past 2^63 and denominators up to 10^6; integral entries are drawn as
+    ints or as Fractions."""
+    nrows, ncols = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    entry = st.one_of(
+        st.integers(-9, 9).map(Fraction),
+        st.fractions(min_value=-50, max_value=50, max_denominator=10**6),
+        st.sampled_from([Fraction(BIG), Fraction(-BIG, 7), Fraction(5, BIG), Fraction(BIG + 1, 10**6)]),
+    )
+    base = [[draw(entry) for _ in range(ncols)] for _ in range(draw(st.integers(1, 4)))]
+    rows = []
+    for _ in range(nrows):
+        kind = draw(st.sampled_from(("base", "zero", "combination", "random")))
+        if kind == "base":
+            rows.append(list(draw(st.sampled_from(base))))
+        elif kind == "zero":
+            rows.append([Fraction(0)] * ncols)
+        elif kind == "combination":
+            coeffs = [draw(st.integers(-3, 3)) for _ in base]
+            rows.append([sum((c * b[j] for c, b in zip(coeffs, base)), Fraction(0)) for j in range(ncols)])
+        else:
+            rows.append([draw(entry) for _ in range(ncols)])
+    for c in range(ncols):
+        if draw(st.integers(0, 4)) == 0:
+            for row in rows:
+                row[c] = Fraction(0)
+    mixed = [[x.numerator if x.denominator == 1 and draw(st.booleans()) else x for x in row] for row in rows]
+    return rows, mixed
+
+
+def _check_against_fraction_kernel(rows, mixed):
+    expected = _fraction_rref_reference([r[:] for r in rows], None)
+    given_rows = [r[:] for r in mixed]
+    got = _rref_mod_py(given_rows, None)
+    assert got[0] is given_rows
+    assert got == expected
+    assert all(type(x) is Fraction for row in got[0] for x in row)
+    assert len(got[0]) == len(rows)
+
+
+@checked
+@given(rational_systems())
+def test_rational_kernel_matches_the_fraction_kernel(system):
+    """Equal rows, rank and pivots, Fraction entries throughout (zero rows
+    included), returned in the list it was given; int entries are taken
+    as the Fractions they equal."""
+    _check_against_fraction_kernel(*system)
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (3, 0), (1, 6), (6, 1), (7, 3), (3, 7)])
+def test_rational_kernel_matches_the_fraction_kernel_at_every_shape(shape):
+    rng = random.Random(f"rational-kernel-{shape}")
+    nrows, ncols = shape
+    for _ in range(40):
+        rows = [
+            [Fraction(rng.choice((0, 0, 1, -2, BIG, 7 * BIG + 1)), rng.choice((1, 3, 10**6, 999_983)))
+             for _ in range(ncols)]
+            for _ in range(nrows)
+        ]
+        if nrows > 1:
+            rows[-1] = list(rows[0])
+        mixed = [[x.numerator if x.denominator == 1 else x for x in row] for row in rows]
+        _check_against_fraction_kernel(rows, mixed)
+
+
+def test_rational_kernel_swaps_in_the_first_nonzero_row():
+    rows = [[Fraction(0), Fraction(1), Fraction(2)], [Fraction(3), Fraction(4), Fraction(5)],
+            [Fraction(6), Fraction(7), Fraction(9)]]
+    red, rank, pivots = _rref_mod_py([r[:] for r in rows], None)
+    assert (red, rank, pivots) == _fraction_rref_reference([r[:] for r in rows], None)
+    assert rank == 3 and red == [[Fraction(int(i == j)) for j in range(3)] for i in range(3)]
+
+
+def test_solve_raw_over_q_takes_ints_as_their_fractions():
+    rng = random.Random("solve-ints")
+    inconsistent = 0
+    for _ in range(200):
+        nrows, ncols = rng.randrange(0, 6), rng.randrange(1, 6)
+        rows = [[rng.choice((0, 0, 1, -1, 2, 5, BIG)) for _ in range(ncols)] for _ in range(nrows)]
+        if nrows > 1 and rng.random() < 0.5:
+            rows[-1] = [a + b for a, b in zip(rows[0], rows[1])]
+        rhs = [rng.randrange(-3, 4) for _ in range(nrows)]
+        as_ints = solve_raw(RATIONALS, rows, rhs)
+        as_fractions = solve_raw(RATIONALS, [[Fraction(x) for x in row] for row in rows], [Fraction(b) for b in rhs])
+        assert as_ints == as_fractions
+        if as_ints is None:
+            inconsistent += 1
+        else:
+            assert all(type(x) is Fraction for x in as_ints)
+            assert all(sum(a * x for a, x in zip(row, as_ints)) == b for row, b in zip(rows, rhs))
+    assert 0 < inconsistent < 200
