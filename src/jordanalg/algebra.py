@@ -169,7 +169,7 @@ class AlgebraTable:
     def basis_element(self, i: int) -> "Element":
         coords = [self.field.zero()] * self.dim
         coords[i] = self.field.one()
-        return Element(self, coords)
+        return Element._wrap(self, coords)
 
     def basis(self) -> list["Element"]:
         return [self.basis_element(i) for i in range(self.dim)]
@@ -490,9 +490,10 @@ def _check_associative(table: AlgebraTable) -> bool:
     return True
 
 
-# Largest work area, in bytes, that the structure tensor and the identity
-# checks allocate (the 2^30 of derivations.LEIBNIZ_BYTE_CAP).  The Jordan
-# check is charged seven n^4 arrays of 8 bytes; it peaks near four.
+# Largest work area, in bytes, that the structure tensor, the identity
+# checks and a dense map read from a file allocate (the 2^30 of
+# derivations.LEIBNIZ_BYTE_CAP).  The Jordan check is charged seven n^4
+# arrays of 8 bytes; it peaks near four.
 JORDAN_BYTE_CAP = 2**30
 _JORDAN_ARRAYS = 7
 
@@ -689,10 +690,8 @@ def quotient_algebra(table: AlgebraTable, ideal: Subspace) -> tuple[AlgebraTable
     identity = _identity_raw(f, n)
     entries = {}
     for a, ia in enumerate(complement):
-        # column ib of L_{b_ia} is the product b_ia * b_ib
-        op = table.mult_operator(identity[ia])
         for b, ib in enumerate(complement):
-            image = project([row[ib] for row in op])
+            image = project(table.mul_coords(identity[ia], identity[ib]))
             for k, v in enumerate(image):
                 if v:
                     entries[(a, b, k)] = v

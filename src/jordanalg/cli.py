@@ -81,9 +81,7 @@ def _load_map(path: str, table: AlgebraTable):
 
 def _element_arg(table: AlgebraTable, text: str) -> Element:
     if table.labels and text in table.labels:
-        coords = [table.field.zero()] * table.dim
-        coords[table.labels.index(text)] = table.field.one()
-        return table.element(coords)
+        return table.basis_element(table.labels.index(text))
     return parse_element(table, text)
 
 

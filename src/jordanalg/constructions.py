@@ -229,36 +229,28 @@ def diagonal_spin_factor(field: Field, diag: Sequence) -> AlgebraTable:
 
 
 def _double(table: AlgebraTable, conj: Matrix, mu: RawScalar) -> tuple[AlgebraTable, Matrix]:
+    """One Cayley-Dickson doubling, (a, b)(c, d) = (ac + mu conj(d) b, da + b conj(c)),
+    of a table whose conjugation is diagonal: conj(x_j) = s_j x_j with
+    s_j = +-1.  The doubled conjugation diag(conj, -I) is diagonal again,
+    so each constant c[i][j][k] = v of the table gives four of the double."""
     f = table.field
     d = table.dim
     zero = f.zero()
+    signs = [conj.rows[j][j] for j in range(d)]
     entries = {}
     for (i, j), pairs in table._rows.items():
         for k, v in pairs:
             # (x_i, 0)(x_j, 0) = (x_i x_j, 0) and (x_j, 0)(0, x_i) = (0, x_i x_j)
             entries[(i, j, k)] = v
             entries[(j, i + d, k + d)] = v
-    for i, xi in enumerate(_identity_raw(f, d)):
-        # column j of L_{x_i} conj is x_i conj(x_j); of R_{x_i} conj, conj(x_j) x_i
-        left, right = (
-            (Matrix._wrap(f, table.mult_operator(xi, side)) @ conj).rows for side in ("left", "right")
-        )
-        for k in range(d):
-            for j in range(d):
-                # (0, x_i)(x_j, 0) = (0, x_i conj(x_j))
-                if left[k][j]:
-                    entries[(i + d, j, k + d)] = left[k][j]
-                # (0, x_i)(0, x_j) = (mu conj(x_j) x_i, 0)
-                if right[k][j]:
-                    entries[(i + d, j + d, k)] = f.mul(mu, right[k][j])
+            # (0, x_i)(x_j, 0) = (0, x_i conj(x_j)) and (0, x_j)(0, x_i) = (mu conj(x_i) x_j, 0)
+            entries[(i + d, j, k + d)] = f.mul(signs[j], v)
+            entries[(j + d, i + d, k)] = f.mul(mu, f.mul(signs[i], v))
     labels = tuple(f"e{t}" for t in range(2 * d))
     unit = [f.one()] + [zero] * (2 * d - 1)
     doubled = AlgebraTable._wrap(f, 2 * d, entries, labels=labels, unit=unit)
-    # conj on the first half, -1 on the second
-    conj_rows = [list(row) + [zero] * d for row in conj.rows] + [[zero] * (2 * d) for _ in range(d)]
-    for i in range(d):
-        conj_rows[i + d][i + d] = f.neg(f.one())
-    return doubled, Matrix._wrap(f, conj_rows)
+    diag = signs + [f.neg(f.one())] * d
+    return doubled, Matrix._wrap(f, [[diag[r] if r == c else zero for c in range(2 * d)] for r in range(2 * d)])
 
 
 def cayley_dickson(field: Field, mus: Sequence) -> tuple[AlgebraTable, LinearMap]:
@@ -429,10 +421,9 @@ def albert_type(field: Field, mus: Sequence, gammas: Sequence) -> AlgebraTable:
     for key, members in sorted(blocks.items()):
         peirce[key] = Subspace._wrap(field, 27, [identity[m] for m in members], canonical=True)
 
-    c3_identity = _identity_raw(field, c3.dim)
     idempotents = []
     for i in range(3):
-        coords = fixed.coords_of(c3_identity[(i * 3 + i) * d])
+        coords = fixed.coords_of(c3.basis_element((i * 3 + i) * d).coords)
         certify(coords is not None, "diagonal idempotent escaped the fixed space")
         idempotents.append(tuple(coords))
 

@@ -225,14 +225,15 @@ def derivation_space(table: AlgebraTable) -> DerivationSpace:
         return cached
     f = table.field
     n = table.dim
-    flat, _ = _leibniz_pairs(n, check_identity(table, "commutative"))
-    pairs = np.stack(np.divmod(flat, n), axis=1)  # rows (i, j)
-    size = len(pairs) * n**3 * 8
+    commutative = check_identity(table, "commutative")
+    size = (n * (n + 1) // 2 if commutative else n * n) * n**3 * 8
     if size > LEIBNIZ_BYTE_CAP:
         raise CapExceeded(
             f"the Leibniz system of a {n}-dim table needs {size} bytes, "
             f"over the cap of {LEIBNIZ_BYTE_CAP}"
         )
+    flat, _ = _leibniz_pairs(n, commutative)
+    pairs = np.stack(np.divmod(flat, n), axis=1)  # rows (i, j)
     c, _ = table.structure_int_tensor()
     basis = _nullspace_mod_staged(_leibniz_entries(c, pairs), f.p).tolist()
     maps = [
@@ -311,11 +312,12 @@ def _gram_restricted_to(table: AlgebraTable, image: Subspace) -> Matrix:
 def _spin_norm_verdict(table, dmap, kernel, image, height_bound, point_cap):
     """Classify a spin-factor derivation by anisotropy of the restricted
     norm form, diagonalized to d_1..d_m: isotropic vectors are nonzero
-    non-invertible values.  A zero d_i, a form in three or more variables
-    over GF(p), and the first pair i < j with -d_j/d_i a square (as is
-    -d_i/d_j) each give one; without them binary forms over GF(p) and
-    definite ones over Q are anisotropic, and other rational forms get a
-    bounded search."""
+    non-invertible values.  A zero d_i (always, when m = 1: a rank-one
+    map skew for the form has an isotropic image), a form in three or
+    more variables over GF(p), and the first pair i < j with -d_j/d_i a
+    square (as is -d_i/d_j) each give one; without them binary forms over
+    GF(p) and definite ones over Q are anisotropic, and other rational
+    forms get a bounded search."""
     f = table.field
     m = image.dim
     restricted = _gram_restricted_to(table, image)
@@ -333,8 +335,6 @@ def _spin_norm_verdict(table, dmap, kernel, image, height_bound, point_cap):
                 table, dmap, kernel, image, value, "spin_norm",
                 "restricted norm form is degenerate",
             )
-    if m == 1:
-        return DivReport(dmap, True, kernel, image, "div", None, "spin_norm")
     if not f.is_rational and m >= 3:
         for s in range(f.p):
             rhs = f.div(f.sub(f.neg(diag[2]), f.mul(diag[0], f.mul(s, s))), diag[1])
@@ -517,10 +517,8 @@ def construct_spin_div(
     dmap = LinearMap(table, Matrix._wrap(f, rows))
     certify(is_derivation(table, dmap), "construction must satisfy Leibniz")
     if not f.is_rational:
-        count = (f.p ** dmap.image().dim - 1) // (f.p - 1)
-        if count <= point_cap:
-            report = has_invertible_values(table, dmap, point_cap=point_cap)
-            certify(report.verdict == "div", "constructed map must have invertible values")
+        report = has_invertible_values(table, dmap, point_cap=point_cap)
+        certify(report.verdict == "div", "constructed map must have invertible values")
     return dmap
 
 

@@ -20,6 +20,7 @@ from .algebra import (
     Element,
     LinearMap,
     SplitNullMeta,
+    _refuse_over_cap,
     split_null_extension,
 )
 from .constructions import (
@@ -247,6 +248,7 @@ def read_map(text: str, table: AlgebraTable) -> LinearMap:
         entries[(k, j)] = f.parse_raw(parts[2])
     if not header_seen:
         raise ParseError("missing `map <dim>` header")
+    _refuse_over_cap("the map", n, 8 * n * n)
     zero = f.zero()
     rows = [
         [entries.get((k + 1, j + 1), zero) for j in range(n)] for k in range(n)

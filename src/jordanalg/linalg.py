@@ -307,15 +307,10 @@ def _reversed_nullspace(red, pivots: list[int], ncols: int, p: int | None):
 
 
 def _nullspace_exact(field: Field, rows: list[list], ncols: int):
-    """Canonical nullspace basis on the Python kernel."""
-    return _nullspace_lists(rows, ncols, field.p)[0]
-
-
-def _nullspace_lists(rows: list[list], ncols: int, p: int | None):
-    """`_nullspace_exact` over GF(p), or over Q when p is None, and the
-    pivot column of each basis row: one reduction of the reversed rows."""
-    red, _, piv = _rref_mod_py([r[::-1] for r in rows], p)
-    return _reversed_nullspace(red, piv, ncols, p)
+    """Canonical nullspace basis on the Python kernel: one reduction of
+    the reversed rows."""
+    red, _, piv = _rref_mod_py([r[::-1] for r in rows], field.p)
+    return _reversed_nullspace(red, piv, ncols, field.p)[0]
 
 
 def nullspace_raw(field: Field, rows: Sequence[Sequence[RawScalar]], ncols: int):
@@ -507,7 +502,8 @@ def _block_nullspace(m: np.ndarray, p: int | None, chunk: int = 3000) -> tuple[n
         return np.array(basis, dtype=object).reshape(-1, ncols), [next(compress(count(), r)) for r in basis]
     dtype = _int_dtype(p - 1)
     if m.size <= _NP_THRESHOLD:
-        basis, piv = _nullspace_lists(m.tolist(), ncols, p)
+        red, _, piv = _rref_mod_py([r[::-1] for r in m.tolist()], p)
+        basis, piv = _reversed_nullspace(red, piv, ncols, p)
         return np.array(basis, dtype=dtype).reshape(-1, ncols), piv
     basis, pivots = None, None
     for lo in range(0, m.shape[0], chunk):
@@ -817,16 +813,12 @@ class Subspace:
 
     def annihilator(self) -> "Subspace":
         """Linear functionals (as coordinate vectors) vanishing on this space."""
-        if not self.basis:
-            return Subspace.full(self.field, self.ambient)
         basis = nullspace_raw(self.field, self.basis, self.ambient)
         return Subspace._wrap(self.field, self.ambient, basis, canonical=True)
 
     def intersect(self, other: "Subspace") -> "Subspace":
         self._check(other)
         constraints = list(self.annihilator().basis) + list(other.annihilator().basis)
-        if not constraints:
-            return Subspace.full(self.field, self.ambient)
         basis = nullspace_raw(self.field, constraints, self.ambient)
         return Subspace._wrap(self.field, self.ambient, basis, canonical=True)
 

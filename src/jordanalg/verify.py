@@ -402,12 +402,7 @@ def _check_reduction_degenerate_forms(run: _Run):
     for diag, table, _, hits in run.gf3_form_records():
         if 0 not in diag or not hits:
             continue
-        zero_dirs = []
-        for i, d in enumerate(diag):
-            if d == 0:
-                vec = [f.zero()] * table.dim
-                vec[i + 1] = f.one()
-                zero_dirs.append(vec)
+        zero_dirs = [table.basis_element(i + 1).coords for i, d in enumerate(diag) if d == 0]
         radical = Subspace(f, table.dim, zero_dirs)
         reduced = diagonal_spin_factor(f, [d for d in diag if d])
         for hit in hits:

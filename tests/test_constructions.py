@@ -951,3 +951,58 @@ def test_raw_table_rejects_a_wrong_unit(field):
         AlgebraTable._wrap(field, 72, entries, unit=[field.zero()] * 72)
     with pytest.raises(BadParameters):
         AlgebraTable._wrap(field, 72, entries, unit=c3.unit[:-1])
+
+
+# ---------------------------------------------------------------------------
+# Cayley-Dickson doubling read off the diagonal conjugation
+
+
+def _reference_double(table, conj, mu):
+    """One doubling from general operator products: column j of
+    L_{x_i} conj is x_i conj(x_j), of R_{x_i} conj it is conj(x_j) x_i."""
+    f = table.field
+    d = table.dim
+    zero = f.zero()
+    entries = {}
+    for i, j, k, v in table.sc_items():
+        entries[(i, j, k)] = v
+        entries[(j, i + d, k + d)] = v
+    for i in range(d):
+        xi = table.basis_element(i).coords
+        left, right = (
+            (Matrix._wrap(f, table.mult_operator(xi, side)) @ conj).rows for side in ("left", "right")
+        )
+        for k in range(d):
+            for j in range(d):
+                if left[k][j]:
+                    entries[(i + d, j, k + d)] = left[k][j]
+                if right[k][j]:
+                    entries[(i + d, j + d, k)] = f.mul(mu, right[k][j])
+    unit = [f.one()] + [zero] * (2 * d - 1)
+    doubled = AlgebraTable._wrap(f, 2 * d, entries, unit=unit)
+    conj_rows = [list(row) + [zero] * d for row in conj.rows] + [[zero] * (2 * d) for _ in range(d)]
+    for i in range(d):
+        conj_rows[i + d][i + d] = f.neg(f.one())
+    return doubled, Matrix._wrap(f, conj_rows)
+
+
+P31 = prime_field(2**31 - 1)
+
+
+@pytest.mark.parametrize("field", [F3, F5, F7, P31, RATIONALS], ids=["GF3", "GF5", "GF7", "GF(2^31-1)", "Q"])
+@pytest.mark.parametrize("mus", [[1], [-1], [2, 3], [-1, -1], [1, 2, 3], [-1, 2, -1], [3, 3, 2]])
+def test_doubling_from_the_diagonal_conjugation_matches_operator_products(field, mus):
+    if any(field.coerce(m) == 0 for m in mus):
+        pytest.skip("doubling scalar vanishes in this field")
+    table = AlgebraTable(field, 1, {(0, 0, 0): 1}, unit=[1])
+    conj = Matrix.identity(field, 1)
+    for stage, mu in enumerate(mus, start=1):
+        table, conj = _reference_double(table, conj, field.coerce(mu))
+        built, built_conj = cayley_dickson(field, mus[:stage])
+        assert built == table and built_conj.matrix == conj
+        assert built.labels == tuple(f"e{t}" for t in range(2**stage))
+        # the conjugation stays diagonal, with +-1 on the diagonal
+        minus = field.neg(field.one())
+        for r, row in enumerate(built_conj.matrix.rows):
+            assert all(not v for c, v in enumerate(row) if c != r)
+            assert row[r] in (field.one(), minus)

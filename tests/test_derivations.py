@@ -1438,3 +1438,118 @@ def test_basis_map_that_moves_the_unit_fails_the_unit_certificate(monkeypatch, f
         derivation_space(table)
     assert sum(map(len, chunks)) == dim + 1
     assert "derivation_space" not in table._cache
+
+
+# ---------------------------------------------------------------------------
+# rank-one derivations of spin factors and the spin-norm rung
+
+
+def _projective(field, k):
+    """Nonzero vectors of length k whose first nonzero entry is 1."""
+    values = range(field.p) if field.p else (-1, 0, 1, 2)
+    for vec in itertools.product(values, repeat=k):
+        if any(vec) and vec[next(i for i, v in enumerate(vec) if v)] == 1:
+            yield tuple(map(field.coerce, vec))
+
+
+def _rank_one_derivations(table):
+    """Every derivation w phi^T (on V, zero on the unit line) in the
+    derivation space, one per line of maps, w and phi over _projective."""
+    f, n = table.field, table.dim
+    flat_space = Subspace(f, n * n, [sum(m.matrix.rows, ()) for m in derivation_space(table).basis])
+    for w in _projective(f, n - 1):
+        for phi in _projective(f, n - 1):
+            rows = [[f.zero()] * n] + [[f.zero()] + [f.mul(a, b) for b in phi] for a in w]
+            if flat_space.contains_vector(sum(rows, [])):
+                yield LinearMap(table, Matrix._wrap(f, rows))
+
+
+def _diagonal_forms(field, k):
+    if field.p:
+        return itertools.product(range(field.p), repeat=k)
+    # degenerate rational forms
+    return {1: [(0,)], 2: [(0, 0), (1, 0), (0, -3)], 3: [(0, 0, 0), (1, 0, 2), (1, -1, 0), (0, 0, 5)]}[k]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("field", [F3, F5, Q], ids=str)
+def test_every_rank_one_spin_derivation_has_a_degenerate_restricted_form(field, k):
+    """D = w phi^T is skew for the form f: 2 phi(v) f(w, v) = 0 for all v,
+    so f(w, w) = 0 unless D = 0, and the spin_norm rung always answers
+    from the zero diagonal entry."""
+    for diag in _diagonal_forms(field, k):
+        table = diagonal_spin_factor(field, diag)
+        found = list(_rank_one_derivations(table))
+        # w phi^T is a derivation exactly when w is in the form's radical
+        radical = sum(1 for d in diag if not field.coerce(d))
+        if field.p:
+            lines = (field.p**k - 1) // (field.p - 1)
+            assert len(found) == (field.p**radical - 1) // (field.p - 1) * lines
+        else:
+            assert found
+        for dmap in found:
+            assert dmap.image().dim == 1
+            report = has_invertible_values(table, dmap, point_cap=0)
+            assert (report.verdict, report.method) == ("not_div", "spin_norm")
+            assert report.note == "restricted norm form is degenerate"
+
+
+@pytest.mark.parametrize("field, diag", [(F3, [1, 1]), (F5, [1, 2]), (F7, [1, 1, 3]), (Q, [1, 1]), (Q, [1, 2, 5])], ids=str)
+def test_construct_spin_div_certifies_over_gf_p_at_any_cap(monkeypatch, field, diag):
+    table = diagonal_spin_factor(field, diag)
+    pair = spin_div_criterion(table.meta.gram)
+    reports = []
+    real = derivations.has_invertible_values
+
+    def spy(*args, **kwargs):
+        reports.append(real(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(derivations, "has_invertible_values", spy)
+    dmap = construct_spin_div(table, *pair, point_cap=0)
+    if field.p:
+        # past the point-count gate the spin_norm rung decides span{x, y}
+        assert [(r.verdict, r.method, r.image.dim) for r in reports] == [("div", "spin_norm", 2)]
+    else:
+        assert reports == []
+    assert dmap.image().dim == 2
+
+
+def test_albert_witness_on_a_derivation_that_kills_the_diagonal(albert5):
+    """D(e_ii) = 0 for the three idempotents leaves the off-diagonal
+    branch: the first component basis element with a nonzero image."""
+    space = derivation_space(albert5)
+    idempotents = albert5.meta.idempotents
+    # row (i, k) is coordinate k of D_s(e_ii), one column per basis map s
+    rows = [[m.matrix.apply(idempotents[i])[k] for m in space.basis] for i in range(3) for k in range(27)]
+    killing = Subspace(F5, space.dim, rows).annihilator()
+    assert (space.dim, killing.dim) == (52, 28)
+    dmap = space.combination(killing.basis[0])
+    assert not dmap.is_zero()
+    assert all(dmap.apply(albert5.element(e)).is_zero() for e in idempotents)
+    witness = albert_div_witness(albert5, dmap)
+    assert witness == albert5.basis_element(albert5.labels.index("u12_0"))
+    assert dmap.apply(witness).coords == tuple(4 * (i == 2) for i in range(27))
+    report = has_invertible_values(albert5, dmap)
+    assert (report.verdict, report.method, report.witness) == ("not_div", "albert_recipe", witness)
+
+
+def test_rational_spin_bounded_search_finds_an_isotropic_value(monkeypatch):
+    """A rank-4 derivation of the Q spin factor of diag(1, 1, 1, -3): the
+    restricted form -f has no pair with a square ratio and is indefinite,
+    so the bounded search runs, and (1, 1, 1, 1) is isotropic."""
+    table = diagonal_spin_factor(Q, [1, 1, 1, -3])
+    gram_inv = [1, 1, 1, Fraction(-1, 3)]
+    skew = [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]]
+    rows = [[0] * 5] + [[0] + [gram_inv[r] * skew[r][c] for c in range(4)] for r in range(4)]
+    dmap = LinearMap(table, Matrix(Q, rows))
+    assert is_derivation(table, dmap) and dmap.image().dim == 4
+    norms = []
+    monkeypatch.setattr(derivations, "spin_norm", lambda x: norms.append(x) or spin_norm(x))
+    report = has_invertible_values(table, dmap)
+    assert (report.verdict, report.method, report.note) == ("not_div", "spin_norm", "")
+    assert report.witness.coords == (0, 1, -1, -3, -1)
+    value = dmap.apply(report.witness)
+    assert value.coords == (0, -1, -1, -1, -1)
+    # the search ran, and its last norm was the witness value's
+    assert norms[-1] == value and spin_norm(value) == 0

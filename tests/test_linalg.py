@@ -555,3 +555,13 @@ def test_diagonalize_matches_the_re_spanning_reference(case):
         assert branches[0] == "pair"
     if kind == "zero":
         assert branches == ["isotropic"]
+
+
+@pytest.mark.parametrize("field", [prime_field(5), RATIONALS], ids=str)
+@pytest.mark.parametrize("n", [1, 3, 6])
+def test_annihilator_of_zero_and_intersection_of_full_spaces_are_full(field, n):
+    full = Subspace.full(field, n)
+    assert Subspace.zero(field, n).annihilator() == full
+    assert full.annihilator() == Subspace.zero(field, n)
+    assert full.intersect(full) == full
+    assert full.intersect(Subspace.zero(field, n)) == Subspace.zero(field, n)
