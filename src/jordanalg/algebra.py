@@ -103,7 +103,7 @@ class AlgebraTable:
             if v:
                 rows.setdefault((i, j), []).append((k, v))
         # a Mapping holds one value per (i, j, k), so no k repeats in a row
-        self._rows = {key: tuple(sorted(pairs)) for key, pairs in rows.items()}
+        self._rows = {key: tuple(sorted(pairs) if len(pairs) > 1 else pairs) for key, pairs in rows.items()}
         if labels is not None:
             labels = tuple(labels)
             if len(labels) != dim:

@@ -77,6 +77,21 @@ def test_table_construction_and_lookup():
     assert t.label_of(1) == "t"
 
 
+@pytest.mark.parametrize("field", [prime_field(5), RATIONALS], ids=str)
+def test_rows_given_in_reversed_k_order_equal_the_sorted_table(field):
+    """Rows of several constants are stored sorted by k, whatever the
+    order of the entries; rows of one constant are stored as given."""
+    entries = {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1, (1, 1, 0): 2, (1, 1, 1): 3, (1, 1, 2): 4, (2, 2, 2): 1}
+    ordered = AlgebraTable(field, 3, entries)
+    backward = AlgebraTable(field, 3, dict(reversed(entries.items())))
+    assert backward == ordered
+    assert backward._rows[(1, 1)] == ((0, 2), (1, 3), (2, 4))
+    assert backward._rows[(0, 1)] == ((1, 1),)
+    items = list(backward.sc_items())
+    assert items == sorted(items) == list(ordered.sc_items())
+    assert [item[:3] for item in items] == sorted(entries)
+
+
 def test_table_rejects_bad_input():
     f = prime_field(5)
     with pytest.raises(BadParameters):

@@ -10,7 +10,10 @@ numpy kernel produces, and check the exact fallbacks and self-checks
 around them.  Property tests (hypothesis) compare the block-by-block
 GF(p) nullspace with exact elimination on block-diagonal systems given
 as arrays, rows and entry triples, and the block-by-block nullspace
-with sympy over Q and over GF(p).
+with sympy over Q and over GF(p).  Column blocks of one shape, reduced
+together on `_rref_batch`, are compared with the same blocks reduced one
+at a time, and spies count the kernel calls of the batched path and of
+the paths it leaves alone.
 """
 
 import hashlib
@@ -396,6 +399,115 @@ def test_albert_derivation_space_allocates_no_dense_system_over_q():
         tracemalloc.stop()
     assert space.dim == 52
     assert peak < 16 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# GF(p) column blocks of one shape, reduced together
+
+
+def _leibniz_system(table):
+    """The Leibniz system of `table` as `derivation_space` builds it."""
+    n = table.dim
+    flat, _ = derivations._leibniz_pairs(n, check_identity(table, "commutative"))
+    c, _ = table.structure_int_tensor()
+    return derivations._leibniz_entries(c, np.stack(np.divmod(flat, n), axis=1))
+
+
+def _one_block_at_a_time(m, p, chunk=3000):
+    """`_nullspace_mod_staged` with every column block on `_block_nullspace`."""
+    e = _entries_mod(m, p)
+    parts, pivots = [], []
+    for cols, a in _column_blocks(e, p):
+        ns, piv = linalg._block_nullspace(a, p, chunk)
+        full = np.zeros((len(ns), e.shape[1]), dtype=ns.dtype)
+        full[:, cols] = ns
+        parts.append(full)
+        pivots += cols[piv].tolist()
+    return np.concatenate(parts)[np.argsort(pivots)].tolist()
+
+
+def _kernel_calls(monkeypatch, *names):
+    """name -> list of the shapes of the first argument of each call of linalg.<name>."""
+    calls = {}
+    for name in names:
+        real, seen = getattr(linalg, name), calls.setdefault(name, [])
+        monkeypatch.setattr(linalg, name, lambda a, *rest, real=real, seen=seen: seen.append(np.shape(a)) or real(a, *rest))
+    return calls
+
+
+@pytest.mark.parametrize("p, mus, gammas", [
+    (3, [1, 2, 1], [1, 2, 2]),
+    (5, [1, 2, 3], [1, 2, 4]),
+    (7, [1, 2, 3], [1, 2, 4]),
+    (2**31 - 1, [1, 2, 3], [1, 2, 4]),
+])
+def test_grouped_albert_blocks_match_one_block_at_a_time(monkeypatch, p, mus, gammas):
+    system = _leibniz_system(albert_type(prime_field(p), mus, gammas))
+    expected = _one_block_at_a_time(system, p)
+    calls = _kernel_calls(monkeypatch, "_rref_batch")
+    assert _nullspace_mod_staged(system, p).tolist() == expected
+    assert calls["_rref_batch"]
+    assert len(expected) == 52
+
+
+def test_grouped_blocks_match_one_block_at_a_time_on_the_search_tables(monkeypatch):
+    """The search tables' systems are single blocks of at most
+    `_NP_THRESHOLD` cells; a threshold of 0 splits them into blocks and
+    sends every block of a shared shape to `_rref_batch`."""
+    from test_search import SEARCH_TABLES
+
+    batched = 0
+    for name, table in sorted(SEARCH_TABLES.items()):
+        p = table.field.p
+        system = _leibniz_system(table)
+        expected = _nullspace_mod_staged(system, p).tolist()
+        with monkeypatch.context() as patch:
+            patch.setattr(linalg, "_NP_THRESHOLD", 0)
+            assert _one_block_at_a_time(system, p) == expected, name
+            calls = _kernel_calls(patch, "_rref_batch")
+            assert _nullspace_mod_staged(system, p).tolist() == expected, name
+        batched += len(calls["_rref_batch"])
+    assert batched > len(SEARCH_TABLES)
+
+
+def test_albert_blocks_take_one_batched_reduction_per_shape(monkeypatch):
+    # 24 blocks of 300 x 22 and 7 of 216 x 24 are batched; the one
+    # 351 x 33 block is reduced on its own
+    system = _leibniz_system(albert_type(prime_field(7), [1, 2, 3], [1, 2, 4]))
+    calls = _kernel_calls(monkeypatch, "_rref_batch", "_rref_mod_np", "_block_nullspace")
+    _nullspace_mod_staged(system, 7)
+    assert sorted(calls["_rref_batch"]) == [(7, 216, 24), (24, 300, 22)]
+    assert calls["_block_nullspace"] == [(351, 33)]
+    assert calls["_rref_mod_np"] == [(351, 33)]
+
+
+def _side_by_side(blocks):
+    """Blocks of rows on consecutive, disjoint column ranges."""
+    widths = [len(b[0]) for b in blocks]
+    rows = []
+    for k, block in enumerate(blocks):
+        rows += [[0] * sum(widths[:k]) + row + [0] * sum(widths[k + 1 :]) for row in block]
+    return rows
+
+
+@pytest.mark.parametrize("case", ["lone block", "rows past chunk", "GF(2^61-1)"])
+def test_blocks_the_batch_leaves_to_the_block_solver(monkeypatch, case):
+    """A lone block, blocks with more rows than `chunk` and blocks past
+    int64 products are reduced one by one on the numpy kernel."""
+    p = 2**61 - 1 if case == "GF(2^61-1)" else 7
+    rng = random.Random(f"kept-{case}")
+    blocks = [_low_rank_rows(rng, 200, 30, 20, p) for _ in range(1 if case == "lone block" else 2)]
+    rows = _side_by_side(blocks)
+    chunk = 150 if case == "rows past chunk" else 3000
+    calls = _kernel_calls(monkeypatch, "_rref_batch", "_rref_mod_np", "_block_nullspace")
+    staged = _nullspace_mod_staged(rows, p, chunk).tolist()
+    assert calls["_rref_batch"] == []
+    assert calls["_block_nullspace"] == [(200, 30)] * len(blocks)
+    # past `chunk` rows, the second chunk is reduced in the 10 coordinates left
+    per_block = [(200, 30)] if chunk > 200 else [(150, 30), (50, 10)]
+    assert calls["_rref_mod_np"] == per_block * len(blocks)
+    assert staged == _nullspace_exact(prime_field(p), rows, 30 * len(blocks))
+    assert len(staged) == 10 * len(blocks)
 
 
 # ---------------------------------------------------------------------------
