@@ -29,14 +29,13 @@ Tall nullspaces over both fields run through `_nullspace_mod_staged`
 array or rows; one of more than `_NP_THRESHOLD` cells is split into its
 independent column blocks (over Q from exact sums, never residues), a
 smaller one is a single dense block.  Over GF(p) blocks of one shape
-share one `_rref_batch`; any other block is eliminated on the kernel for
-its size, the numpy one in chunks of rows (`_block_nullspace`).  Over Q
-each block goes to `nullspace_int_crt`: it is solved modulo several
-primes on that same GF(p) block solver and lifted by rational
-reconstruction; one exact integer product with the block certifies the
-lifted basis, and when it cannot be certified the block is solved on the
-exact Python kernel, so the fast path cannot silently produce a wrong
-answer.  The Leibniz system comes as triples, so its dense form, which
+share one `_rref_batch`, others go to `_block_nullspace`.  Over Q each
+block goes to `nullspace_int_crt`: it is solved modulo several primes on
+that same GF(p) block solver and lifted by rational reconstruction; one
+exact integer product with the block certifies the lifted basis, and
+when it cannot be certified the block is solved on the exact Python
+kernel, so the fast path cannot silently produce a wrong answer.  The
+Leibniz system comes as triples, so its dense form, which
 `derivations.LEIBNIZ_BYTE_CAP` bounds, is never allocated.
 
 Closures under linear maps are spun: `spin_closure` grows one space
@@ -466,28 +465,28 @@ def _nullspace_mod_staged(m, p: int | None, chunk: int = 3000) -> np.ndarray:
     The matrix is split into its independent column blocks; no row links
     two blocks, so the nullspace is the direct sum of the blocks'
     nullspaces, and their canonical bases, placed back in their columns
-    and sorted by pivot, make the canonical basis of the whole.
-
-    Over GF(p) below 2^31, blocks of one shape past `_NP_THRESHOLD` cells
-    and of at most `chunk` rows are reduced together, column-reversed, on
-    `_rref_batch`; a lone block and every other goes to `_block_nullspace`.
+    and sorted by pivot, make the canonical basis of the whole.  Over
+    GF(p) below 2^31, same-shape blocks of more than `_NP_THRESHOLD` cells
+    and at most `chunk` rows share one column-reversed `_rref_batch`; lone
+    and other blocks go to `_block_nullspace`.
     """
     e = _entries_mod(m, p)
     ncols = e.shape[1]
-    blocks = list(_column_blocks(e, p))
-    groups, solved = {}, {}
-    for k, (_, a) in enumerate(blocks):
-        if p and a.dtype != object and a.size > _NP_THRESHOLD and len(a) <= chunk:
-            groups.setdefault(a.shape, []).append(k)
+    solved, groups, parts, pivots = [], {}, [], []
+    for block_cols, a in _column_blocks(e, p):
+        if p and _int_dtype(p - 1) is not object and a.size > _NP_THRESHOLD and len(a) <= chunk:
+            groups.setdefault(a.shape, []).append((block_cols, a))
+        else:
+            solved.append((block_cols, *_block_nullspace(a, p, chunk)))
     for (_, width), group in groups.items():
-        if len(group) > 1:
-            red, rank = _rref_batch(np.stack([blocks[k][1][:, ::-1] for k in group]), p)
-            for k, rows, r in zip(group, red, rank.tolist()):
-                ns, piv = _reversed_nullspace(rows[:r].tolist(), (rows[:r] != 0).argmax(axis=1).tolist(), width, p)
-                solved[k] = np.array(ns, dtype=np.int64).reshape(-1, width), piv
-    parts, pivots = [], []
-    for k, (block_cols, a) in enumerate(blocks):
-        ns, piv = solved.get(k) or _block_nullspace(a, p, chunk)
+        if len(group) == 1:
+            solved.append((group[0][0], *_block_nullspace(group[0][1], p, chunk)))
+            continue
+        red, rank = _rref_batch(np.stack([a[:, ::-1] for _, a in group]), p)
+        for (block_cols, _), rows, r in zip(group, red, rank.tolist()):
+            ns, piv = _reversed_nullspace(rows[:r].tolist(), (rows[:r] != 0).argmax(axis=1).tolist(), width, p)
+            solved.append((block_cols, np.array(ns, dtype=np.int64).reshape(-1, width), piv))
+    for block_cols, ns, piv in solved:
         full = np.full((ns.shape[0], ncols), 0 if p else Fraction(0), dtype=ns.dtype)
         full[:, block_cols] = ns
         parts.append(full)
