@@ -38,6 +38,7 @@ from .linalg import (
     _int_image,
     _is_zero_mod,
     _magnitude,
+    _narrow_path,
     _projective_points,
     _spin_batch,
     _sum_path,
@@ -520,9 +521,9 @@ def _check_jordan(table: AlgebraTable) -> bool:
     G[x, y] = [L_{cx}, L_y], and the sum [L_{ab}, L_c] + G + G^T, being
     symmetric in (a, b, c), is formed for a <= b <= c only.  The products,
     their sum and the exact zero test stay on the number path that
-    `linalg._sum_path` picks; over GF(p) each product is reduced first
-    where that path cannot hold three.  Arrays over JORDAN_BYTE_CAP
-    bytes are refused before they are allocated.
+    `linalg._sum_path` and `_narrow_path` pick; over GF(p) each product is
+    reduced first where that path cannot hold three.  Arrays over
+    JORDAN_BYTE_CAP bytes are refused before they are allocated.
     """
     if not check_identity(table, "commutative"):
         return False
@@ -535,7 +536,8 @@ def _check_jordan(table: AlgebraTable) -> bool:
     k = _exact_matmul(t.reshape(n * n, n), t.transpose(1, 0, 2).reshape(n, n * n), p, terms=1 if p else 2)
     k = k.reshape(n, n, n, n).transpose(0, 2, 1, 3)
     k = k - k.transpose(1, 0, 2, 3)
-    dtype, reduce = _sum_path(n, _magnitude(c, p), _magnitude(k, p), p, 3)
+    sizes = n, _magnitude(c, p), _magnitude(k, p)
+    dtype, reduce = _narrow_path(_sum_path(*sizes, p, 3), *sizes, 3)
     c, k = c.astype(dtype), np.ascontiguousarray(k, dtype=dtype)
     bs, as_ = np.tril_indices(n)  # the pairs a <= b ordered by b, so those with b <= z come first
     pair_rows = c.reshape(n * n, n)[as_ * n + bs]

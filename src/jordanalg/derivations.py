@@ -70,6 +70,7 @@ from .linalg import (
     _int_image,
     _is_zero_mod,
     _magnitude,
+    _narrow_path,
     _nullspace_mod_staged,
     _projective_points,
     _sum_path,
@@ -98,12 +99,14 @@ def _leibniz_holds(table: AlgebraTable, maps) -> bool:
     basis pair (i, j).  On a commutative table bi D(bj) = D(bj) bi and the
     defect is symmetric in (i, j), so only the pairs i <= j are formed.
     The three products, their sum and the zero test stay on the number
-    path that `linalg._sum_path` picks, as in the Jordan check."""
+    path that `linalg._sum_path` and `_narrow_path` pick, as in the
+    Jordan check."""
     c, _ = table.structure_int_tensor()
     n, s, p = table.dim, len(maps), table.field.p
     # d[s*n + k] is row k of maps[s], dt[s*n + m] row m of its transpose
     d, _ = _int_image(table.field, [row for m in maps for row in m.matrix.rows])
-    dtype, reduce = _sum_path(n, _magnitude(c, p), _magnitude(d, p), p, 3)
+    sizes = n, _magnitude(c, p), _magnitude(d, p)
+    dtype, reduce = _narrow_path(_sum_path(*sizes, p, 3), *sizes, 3)
     c, d = c.astype(dtype), d.astype(dtype)
     dt = d.reshape(s, n, n).transpose(0, 2, 1).reshape(s * n, n)
     # left[s, i*n + j] = D(bi) bj, right[s, j*n + i] = bi D(bj)

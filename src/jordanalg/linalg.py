@@ -22,6 +22,8 @@ of integer arrays takes one of three number paths from a bound checked
 before multiplying (`_sum_path`): float64 (BLAS) while every dot product
 stays below 2^53, int64 below 2^63, object dtype beyond.  Over GF(p) the
 bound follows from p alone; over Q it comes from a scan of the inputs.
+float64 names the float path; an unreduced one whose bound is below 2^23
+runs in float32 (`_narrow_path`), exact there too at half the memory.
 `_exact_matmul` runs one product; `_is_zero_mod` tests a sum exactly.
 
 Tall nullspaces over both fields run through `_nullspace_mod_staged`
@@ -94,8 +96,9 @@ _CRT_PRIMES = _primes_below_2_20(_CRT_PRIME_COUNT)
 # ---------------------------------------------------------------------------
 # integer images and exact products
 
-# Integers of absolute value below 2^53 are exact in float64.
+# float64 holds every integer below 2^53; float32 runs sums that stay below 2^23.
 _FLOAT64_EXACT = 1 << 53
+_FLOAT32_EXACT = 1 << 23
 _INT64_EXACT = 1 << 63
 
 
@@ -153,13 +156,13 @@ def _magnitude(a: np.ndarray, p: int | None) -> int:
 def _exact_matmul(a: np.ndarray, b: np.ndarray, p: int | None = None, terms: int = 1) -> np.ndarray:
     """Exact a @ b of integer arrays: residues mod p, or arbitrary
     integers when p is None, on `_sum_path`'s path for the sum of `terms`
-    results of calls that pass the same `terms`; a float64 product comes
+    results of calls that pass the same `terms`; a float product comes
     back as int64.  Over GF(p) a result is left unreduced only where
     terms > 1 and `_sum_path` asks for no reduction; the caller sums it."""
     inner, big_a, big_b = a.shape[-1], _magnitude(a, p), _magnitude(b, p)
-    dtype, reduce = _sum_path(inner, big_a, big_b, p, terms)
+    dtype, reduce = _narrow_path(_sum_path(inner, big_a, big_b, p, terms), inner, big_a, big_b, terms)
     out = a.astype(dtype, copy=False) @ b.astype(dtype, copy=False)
-    if dtype is np.float64:
+    if out.dtype.kind == "f":
         out = out.astype(np.int64)
     if p and (terms == 1 or reduce):
         out %= p
@@ -169,19 +172,34 @@ def _exact_matmul(a: np.ndarray, b: np.ndarray, p: int | None = None, terms: int
 def _sum_path(inner: int, big_a: int, big_b: int, p: int | None, terms: int) -> tuple:
     """(dtype, reduce) for a sum of `terms` exact products: `_product_dtype`
     of the sum over Q, of one product over GF(p), where `reduce` says that
-    the dtype cannot hold `terms` unreduced products: reduce each first."""
+    the dtype cannot hold `terms` unreduced products: reduce each first.
+    float64 names the float path, which may run in float32 (`_narrow_path`)."""
     dtype = _product_dtype(inner, big_a, big_b, 1 if p else terms)
     limit = _FLOAT64_EXACT if dtype is np.float64 else _INT64_EXACT
-    return dtype, bool(p) and dtype is not object and _product_bound(inner, big_a, big_b, terms) >= limit
+    return dtype, bool(p) and terms > 1 and dtype is not object and _product_bound(inner, big_a, big_b, terms) >= limit
+
+
+def _narrow_path(path: tuple, inner: int, big_a: int, big_b: int, terms: int) -> tuple:
+    """`_sum_path`'s (dtype, reduce), with float32 in place of float64 when
+    no product is reduced and the unreduced sum's `_product_bound` is below
+    2^23.  Every partial sum is then an integer below 2^23 in absolute
+    value, and float32 holds every integer below 2^24, so the sums are
+    exact in any order, with or without fused multiply-add."""
+    dtype, reduce = path
+    if dtype is np.float64 and not reduce and _product_bound(inner, big_a, big_b, terms) < _FLOAT32_EXACT:
+        return np.float32, False
+    return path
 
 
 def _is_zero_mod(a: np.ndarray, p: int | None) -> bool:
     """Whether the integer-valued array `a` is 0, mod p over GF(p).  A
-    float64 `a` (|a| < 2^53) is tested without a float remainder: with
-    q = rint(a * (1/p)), p * q is a multiple of p that is exact below
-    2^53 and past |a| above it, so p * q == a proves p | a.  Where
-    rounding could have moved q, the int64 remainder decides."""
-    if p and a.dtype == np.float64:
+    float `a` of the float path is tested without a float remainder: with
+    q = rint(a * (1/p)), p * q == a proves p | a.  In float64 (|a| < 2^53)
+    p * q is exact below 2^53 and past |a| above it; in float32 |a| < 2^23,
+    and the bound that chose float32, (p - 1)^2 <= `_product_bound` < 2^23,
+    forces p < 2^12, so |p * q| < 2^24 is exact.  Where rounding could
+    have moved q, the int64 remainder decides."""
+    if p and a.dtype.kind == "f":
         q = a * (1 / p)
         np.rint(q, out=q)
         q *= p

@@ -20,7 +20,7 @@ first on the path), and reports one verdict:
 
 It exits 0 when every mutation is caught, and 1 otherwise.  A change
 that adds a fast path adds its negative controls here.  The whole list
-takes about 20 s on a 2-vCPU host (Python 3.11, numpy 2.4),
+takes about 35 s on a 2-vCPU host (Python 3.11, numpy 2.4),
 about 1.5 s per mutation and one run of all named tests unmutated.
 """
 
@@ -49,6 +49,8 @@ class Mutant(NamedTuple):
 
 KERNELS = "tests/test_kernels.py::"
 DERIVATIONS = "tests/test_derivations.py::"
+SEARCH = "tests/test_search.py::"
+FLOAT32 = "tests/test_float32.py::"
 
 MUTANTS = (
     Mutant(
@@ -115,6 +117,64 @@ MUTANTS = (
         "        certify(report.verdict == \"div\", \"constructed map must have invertible values\")\n",
         "",
         (DERIVATIONS + "test_construct_spin_div_certifies_over_gf_p_at_any_cap",),
+    ),
+    Mutant(
+        "float32 bound raised to 2^25",
+        "linalg.py",
+        "_FLOAT32_EXACT = 1 << 23",
+        "_FLOAT32_EXACT = 1 << 25",
+        (FLOAT32 + "test_float32_boundary_of_the_three_term_sum",
+         FLOAT32 + "test_float32_boundary_of_one_product"),
+    ),
+    Mutant(
+        "float32 allowed on a path that reduces each product",
+        "linalg.py",
+        "if dtype is np.float64 and not reduce and _product_bound(",
+        "if dtype is np.float64 and _product_bound(",
+        (FLOAT32 + "test_float32_only_replaces_an_unreduced_float64_path",),
+    ),
+    Mutant(
+        "float zero test without rint",
+        "linalg.py",
+        "        np.rint(q, out=q)\n",
+        "",
+        (FLOAT32 + "test_float32_zero_test_is_exact_below_2_23",),
+    ),
+    Mutant(
+        "kernel ideal keyed by kernel().dim",
+        "derivations.py",
+        'key = ("kernel_ideal", dmap.kernel().basis)',
+        'key = ("kernel_ideal", dmap.kernel().dim)',
+        (SEARCH + "test_kernels_of_one_dimension_keep_their_own_ideals",),
+    ),
+    Mutant(
+        "class members pushed without % p",
+        "derivations.py",
+        "heapq.heappush(members, tuple(c * x % p for x in key))",
+        "heapq.heappush(members, tuple(c * x for x in key))",
+        (SEARCH + "test_class_walk_matches_the_tuple_loop_at_every_cap",),
+    ),
+    Mutant(
+        "fraction-free update without its pv factor",
+        "linalg.py",
+        "row = [pv * a - f * b for a, b in zip(row_i, row_r)]",
+        "row = [a - f * b for a, b in zip(row_i, row_r)]",
+        (KERNELS + "test_rational_kernel_matches_the_fraction_kernel_at_every_shape",
+         KERNELS + "test_rational_kernel_matches_the_fraction_kernel"),
+    ),
+    Mutant(
+        "np.fmod dropped in _leibniz_holds",
+        "derivations.py",
+        "    if reduce:\n        left, right, defect = (np.fmod(a, p) for a in (left, right, defect))\n",
+        "",
+        (DERIVATIONS + "test_leibniz_products_are_reduced_before_the_sum_at_the_float64_bound",),
+    ),
+    Mutant(
+        "Jordan products not reduced at the float64 bound prime",
+        "algebra.py",
+        "        if reduce:\n            total, g = np.fmod(total, p), np.fmod(g, p)\n",
+        "",
+        ("tests/test_algebra.py::test_jordan_products_are_reduced_before_the_sum_at_the_float64_bound",),
     ),
 )
 
